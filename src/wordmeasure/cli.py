@@ -30,7 +30,7 @@ from .surfaces import (
     occurrences,
     pair_statistics,
 )
-from .trace import DEFAULT_LAURENT_TERMS, parity_report, scl_upper_bound, trace_exact, trace_leading
+from .trace import DEFAULT_LAURENT_TERMS, scl_upper_bound, trace_exact
 from .weingarten import WG_INVERSION_LIMIT, wg_table
 from .words import RankError, Word, WordSyntaxError, WordTuple, parse
 
@@ -142,11 +142,13 @@ def _config(args) -> RunConfig:
     jobs = getattr(args, "jobs", None)
     if jobs is None:
         jobs = int(os.environ.get(JOBS_ENV, "1"))
+    if jobs < 1:
+        raise ValueError(f"--jobs / {JOBS_ENV} must be at least 1, got {jobs}")
     return RunConfig(
         words=_resolve_words(args),
         laurent_terms=getattr(args, "laurent", DEFAULT_LAURENT_TERMS),
         pair_cap=getattr(args, "pair_cap", DEFAULT_PAIR_CAP),
-        jobs=max(jobs, 1),
+        jobs=jobs,
         seed=seed,
         as_json=getattr(args, "json", False),
     )
@@ -165,7 +167,7 @@ def cmd_trace(args) -> int:
     cfg = _config(args)
     t = cfg.words
     result = trace_exact(
-        t, cap=cfg.pair_cap, laurent_terms=cfg.laurent_terms
+        t, cap=cfg.pair_cap, laurent_terms=cfg.laurent_terms, jobs=cfg.jobs
     )
     lines = [f"words: {t}  (rank {t.rank})"]
     obj: dict = {
@@ -183,8 +185,7 @@ def cmd_trace(args) -> int:
         obj["parity_ok"] = True
         _emit(cfg.as_json, obj, lines)
         return 0
-    lead = trace_leading(t, cap=cfg.pair_cap)
-    parity = parity_report(t, cap=cfg.pair_cap, laurent_terms=cfg.laurent_terms)
+    lead = result.ch_term
     lines.append(f"trace = {result.function}")
     lines.append(f"valid for integer n >= {result.validity_threshold}")
     lines.append(f"laurent: {result.laurent}")
@@ -197,7 +198,7 @@ def cmd_trace(args) -> int:
     lines.append(
         f"ch-order term: exponent {lead.exponent}, coefficient {lead.coefficient}{degen}"
     )
-    lines.append(f"parity check: {'ok' if parity else 'FAILED'}")
+    lines.append(f"parity check: {'ok' if result.parity_ok else 'FAILED'}")
     obj["leading"] = (
         None
         if result.leading is None
@@ -213,7 +214,7 @@ def cmd_trace(args) -> int:
     obj["degenerate_with_zero_function"] = (
         lead.degenerate and result.function.is_zero
     )
-    obj["parity_ok"] = parity
+    obj["parity_ok"] = result.parity_ok
     _emit(cfg.as_json, obj, lines)
     return 0
 

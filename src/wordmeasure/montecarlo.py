@@ -111,6 +111,8 @@ def estimate(
     """
     if n < 1:
         raise ValueError("dimension must be positive")
+    if samples < 1:
+        raise ValueError(f"sample count must be positive, got {samples}")
     if jobs > 1 and samples >= 2 * jobs:
         from concurrent.futures import ProcessPoolExecutor
 

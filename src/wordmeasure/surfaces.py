@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perm import Partition, mobius_of_cycle_type
+from .perm import Partition, Permutation, mobius_of_cycle_type
 from .words import Word, WordTuple, word_tuple
 
 DEFAULT_PAIR_CAP = 10**8
+# fewest summed-scan iterations for which class_counts starts a pool
+PARALLEL_MIN_SCAN = 50_000
 
 # per generator, the image vector of a bijection E_i+ -> E_i- (canonical order)
 Matching = tuple[tuple[int, ...], ...]
@@ -129,6 +131,37 @@ def enumerate_matchings(occ: OccurrenceTable) -> Iterator[Matching]:
         yield parts
 
 
+def _sigma_partition(occ: OccurrenceTable, sigma_parts) -> tuple[list[int], int]:
+    """Union-find parents after the sigma edges alone, and the merge count.
+
+    The parents are flattened, so copies made per tau resolve every node
+    in one hop until the tau edges merge further.
+    """
+    parent = list(range(occ.num_letters))
+    merges = 0
+    for i, sp in zip(occ.active, sigma_parts):
+        pp = occ.pos_prev[i]
+        ng = occ.neg_ids[i]
+        for k, v in enumerate(sp):
+            a = pp[k]
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            b = ng[v]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+                merges += 1
+    for v in range(len(parent)):
+        r = v
+        while parent[r] != r:
+            r = parent[r]
+        parent[v] = r
+    return parent, merges
+
+
 def _scan(
     occ: OccurrenceTable,
     want_types: bool,
@@ -137,6 +170,9 @@ def _scan(
 ) -> Iterator[tuple[tuple, tuple, int, int, tuple[Partition, ...] | None]]:
     """Yield (sigma_parts, tau_parts, blocks, z_discs, cycle_types) per pair.
 
+    The per-pair route: ``pair_statistics`` (chi, classes) needs every
+    pair, and the differential tests fold it as the oracle for
+    ``class_counts``, which sums one generator's tau out instead.
     The parts tuples range over active generators only; use
     ``occ.expand`` to recover full matchings.  The sigma-side merges are
     frozen into a flattened parent array once per sigma and copied per
@@ -151,40 +187,15 @@ def _scan(
     n_act = len(active)
     sizes = [occ.counts[i] for i in active]
     pos_ids = [occ.pos_ids[i] for i in active]
-    pos_prev = [occ.pos_prev[i] for i in active]
-    neg_ids = [occ.neg_ids[i] for i in active]
     neg_prev = [occ.neg_prev[i] for i in active]
     perms = [list(itertools.permutations(range(c))) for c in sizes]
     n_nodes = occ.num_letters
-    base_ids = list(range(n_nodes))
     sigma_iter = itertools.product(*perms)
     if sigma_range is not None:
         sigma_iter = itertools.islice(sigma_iter, *sigma_range)
 
     for sigma_parts in sigma_iter:
-        parent0 = base_ids.copy()
-        count0 = 0
-        for gi in range(n_act):
-            sp = sigma_parts[gi]
-            pp = pos_prev[gi]
-            ng = neg_ids[gi]
-            for k in range(sizes[gi]):
-                a = pp[k]
-                while parent0[a] != a:
-                    parent0[a] = parent0[parent0[a]]
-                    a = parent0[a]
-                b = ng[sp[k]]
-                while parent0[b] != b:
-                    parent0[b] = parent0[parent0[b]]
-                    b = parent0[b]
-                if a != b:
-                    parent0[a] = b
-                    count0 += 1
-        for v in range(n_nodes):  # flatten so per-tau copies resolve in one hop
-            r = v
-            while parent0[r] != r:
-                r = parent0[r]
-            parent0[v] = r
+        parent0, count0 = _sigma_partition(occ, sigma_parts)
         sinv = []
         for gi in range(n_act):
             inv = [0] * sizes[gi]
@@ -514,19 +525,148 @@ def diagonal_max_euler(
     return best if best is not None else occ.num_empty
 
 
+def _summed_scan(
+    occ: OccurrenceTable, sigma_range: tuple[int, int] | None = None
+) -> dict[tuple[tuple[Partition, ...], int], int]:
+    """Class counts with the tau of one generator summed out by a memo.
+
+    Each tau is written as sigma pi, so the cycle type of sigma^-1 tau is
+    that of pi, read from one list per generator, and tau's edge from
+    positive end k goes to negative end sigma(pi(k)).  The summed
+    generator g* is the active one with the most occurrences.  For each
+    sigma and each pi over the other generators the union-find runs as in
+    ``_scan``; its partition matters to g*'s edges only through the
+    blocks of g*'s 2c tau-endpoints, read in that order and reduced to
+    first-appearance labels (the boundary pattern).  A memo keyed on the
+    pattern holds the histogram of (cycle type of pi_g*, extra merges)
+    over all pi_g*, so the loop runs prod(c_i!)^2 / c_g*! times.
+    ``sigma_range`` slices the sigma enumeration, in ``_scan``'s order.
+    """
+    active = occ.active
+    if not active:
+        return {((), occ.num_letters): 1}
+    n_act = len(active)
+    sizes = [occ.counts[i] for i in active]
+    star = max(range(n_act), key=sizes.__getitem__)
+    rest = [gi for gi in range(n_act) if gi != star]
+    perms = [list(itertools.permutations(range(c))) for c in sizes]
+    types = [[Permutation(p).cycle_type() for p in ps] for ps in perms]
+    pos_ids = [occ.pos_ids[i] for i in active]
+    neg_prev = [occ.neg_prev[i] for i in active]
+    # pi over the other generators: (pi per generator, their cycle types)
+    pis = [
+        ([p for p, _ in combo], tuple(mu for _, mu in combo))
+        for combo in itertools.product(*(zip(perms[gi], types[gi]) for gi in rest))
+    ]
+
+    sigma_iter = itertools.product(*perms)
+    if sigma_range is not None:
+        sigma_iter = itertools.islice(sigma_iter, *sigma_range)
+    # (other types, pattern, blocks before g*'s tau edges) -> pairs
+    partial: dict[tuple, int] = {}
+    for sigma_parts in sigma_iter:
+        parent0, count0 = _sigma_partition(occ, sigma_parts)
+        blocks0 = occ.num_letters - count0
+        # negative tau-end j of each generator is neg_prev at sigma(j)
+        targets = [
+            [neg_prev[gi][v] for v in sigma_parts[gi]] for gi in range(n_act)
+        ]
+        edges = [(pos_ids[gi], targets[gi], sizes[gi]) for gi in rest]
+        ends = pos_ids[star] + tuple(targets[star])
+
+        for pi_parts, pi_types in pis:
+            parent = parent0.copy()
+            merges = 0
+            for (po, tg, c), p in zip(edges, pi_parts):
+                for k in range(c):
+                    a = po[k]
+                    while parent[a] != a:
+                        parent[a] = parent[parent[a]]
+                        a = parent[a]
+                    b = tg[p[k]]
+                    while parent[b] != b:
+                        parent[b] = parent[parent[b]]
+                        b = parent[b]
+                    if a != b:
+                        parent[a] = b
+                        merges += 1
+            labels: dict[int, int] = {}
+            pattern = []
+            for v in ends:
+                while parent[v] != v:
+                    v = parent[v]
+                pattern.append(labels.setdefault(v, len(labels)))
+            key = (pi_types, tuple(pattern), blocks0 - merges)
+            partial[key] = partial.get(key, 0) + 1
+
+    c_star = sizes[star]
+    hist_of: dict[tuple[int, ...], dict[tuple[Partition, int], int]] = {}
+    counts: dict[tuple[tuple[Partition, ...], int], int] = {}
+    for (others, pattern, blocks), count in partial.items():
+        hist = hist_of.get(pattern)
+        if hist is None:
+            hist = {}
+            for p, mu in zip(perms[star], types[star]):
+                parent = list(range(len(pattern)))
+                extra = 0
+                for k in range(c_star):
+                    a = pattern[k]
+                    while parent[a] != a:
+                        a = parent[a]
+                    b = pattern[c_star + p[k]]
+                    while parent[b] != b:
+                        b = parent[b]
+                    if a != b:
+                        parent[a] = b
+                        extra += 1
+                hist[mu, extra] = hist.get((mu, extra), 0) + 1
+            hist_of[pattern] = hist
+        for (mu, extra), m in hist.items():
+            key = (others[:star] + (mu,) + others[star:], blocks - extra)
+            counts[key] = counts.get(key, 0) + count * m
+    return counts
+
+
+def _class_counts_worker(args):
+    occ, lo, hi = args
+    return _summed_scan(occ, (lo, hi))
+
+
+def summed_scan_size(occ: OccurrenceTable) -> int:
+    """Inner iterations of ``_summed_scan``: prod(c_i!)^2 / max c_i!."""
+    return occ.pair_count() // math.factorial(max(occ.counts, default=0))
+
+
 def class_counts(
-    occ: OccurrenceTable, *, cap: int = DEFAULT_PAIR_CAP
+    occ: OccurrenceTable, *, cap: int = DEFAULT_PAIR_CAP, jobs: int = 1
 ) -> dict[tuple[tuple[Partition, ...], int], int]:
     """Multiplicity of each (per-generator cycle types, block count) class.
 
     This is the whole content of the pair enumeration needed for the
     exact trace: the Weingarten weight of a pair depends only on the
-    cycle types, and the power of n only on the block count.
+    cycle types, and the power of n only on the block count.  The cap
+    applies to the full pair count, although ``_summed_scan`` visits
+    only ``summed_scan_size`` of them.  With ``jobs`` > 1 and at least
+    ``PARALLEL_MIN_SCAN`` inner iterations, contiguous sigma slices are
+    scanned in worker processes and their counts summed; smaller scans
+    finish before a pool would start, so they stay serial.
     """
+    total = occ.pair_count()
+    if total > cap:
+        raise PairCapExceeded(total, cap)
+    match_count = occ.match_count()
+    small = summed_scan_size(occ) < PARALLEL_MIN_SCAN
+    if jobs <= 1 or match_count < jobs or small:
+        return _summed_scan(occ)
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [match_count * k // jobs for k in range(jobs + 1)]
+    tasks = [(occ, bounds[k], bounds[k + 1]) for k in range(jobs)]
     counts: dict[tuple[tuple[Partition, ...], int], int] = {}
-    for _, _, blocks, _, types in _scan(occ, True, cap):
-        key = (types, blocks)
-        counts[key] = counts.get(key, 0) + 1
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        for part in pool.map(_class_counts_worker, tasks):
+            for key, count in part.items():
+                counts[key] = counts.get(key, 0) + count
     return counts
 
 

@@ -82,6 +82,8 @@ class WeingartenTable:
 
 def wg_table(L: int) -> WeingartenTable:
     """Table computed through the character formula."""
+    if L < 0:
+        raise ValueError(f"L must be nonnegative, got {L}")
     return WeingartenTable(L, {mu: wg(mu) for mu in partitions(L)})
 
 

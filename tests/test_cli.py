@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from wordmeasure import surfaces, trace
 from wordmeasure.cli import canonical_dumps, main
 
 
@@ -31,6 +34,35 @@ class TestTrace:
         code, out, _ = run(capsys, "trace", "-w", "x", "-w", "X", "--json")
         obj = json.loads(out)
         assert obj["function"]["human"] == "1"
+
+    @pytest.mark.parametrize("min_scan", [None, 0])
+    def test_jobs_output_identical(self, capsys, monkeypatch, min_scan):
+        if min_scan is not None:  # force the worker pool on this small scan
+            monkeypatch.setattr(surfaces, "PARALLEL_MIN_SCAN", min_scan)
+        _, serial, _ = run(capsys, "trace", "-w", "[x,y]^3", "--json", "--jobs", "1")
+        code, parallel, _ = run(capsys, "trace", "-w", "[x,y]^3", "--json", "--jobs", "2")
+        assert code == 0
+        assert parallel == serial
+
+    def test_one_scan_and_one_assembly(self, capsys, monkeypatch):
+        calls = {"class_counts": 0, "_assemble": 0}
+
+        def counted(name):
+            original = getattr(trace, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(trace, name, wrapper)
+
+        counted("class_counts")
+        counted("_assemble")
+        code, out, _ = run(capsys, "trace", "-w", "[x,y]^2")
+        assert code == 0
+        assert "ch-order term: exponent -3, coefficient -4" in out
+        assert "parity check: ok" in out
+        assert calls == {"class_counts": 1, "_assemble": 1}
 
     def test_laurent_depth_flag(self, capsys):
         code, out, _ = run(
@@ -163,3 +195,21 @@ class TestErrorsAndConfig:
         _, first, _ = run(capsys, "classes", "-w", "[x,y][x,z]", "--json")
         _, second, _ = run(capsys, "classes", "-w", "[x,y][x,z]", "--json")
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-mc", "-w", "[x,y]", "--n", "3", "--samples", "0"],
+        ["verify-mc", "-w", "[x,y]", "--n", "3", "--samples", "-5"],
+        ["wg", "--L", "-1"],
+        ["trace", "-w", "[x,y]", "--jobs", "0"],
+    ],
+    ids=["samples-zero", "samples-negative", "wg-negative-L", "jobs-zero"],
+)
+def test_invalid_values_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert out == ""

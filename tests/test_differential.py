@@ -3,10 +3,17 @@
 import itertools
 import random
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from wordmeasure import surfaces
 from wordmeasure.ratfn import Polynomial, RationalFunction
 from wordmeasure.surfaces import (
+    PairCapExceeded,
     _scan,
     block_count,
+    class_counts,
     cycle_types,
     enumerate_matchings,
     euler_char,
@@ -15,7 +22,7 @@ from wordmeasure.surfaces import (
 )
 from wordmeasure.trace import trace_exact
 from wordmeasure.weingarten import wg
-from wordmeasure.words import Letter, Word, word_tuple
+from wordmeasure.words import Letter, Word, parse_tuple, word_tuple
 
 
 def _random_balanced_tuples(count, seed):
@@ -68,3 +75,113 @@ def test_scan_agrees_with_single_pair_helpers():
                 euler_char(occ, s_full, t_full)
                 == blocks + z_total - occ.num_letters + occ.num_empty
             )
+
+
+def _folded_scan(occ):
+    """Class counts folded pair by pair from the per-pair scan (the oracle)."""
+    counts = {}
+    for _, _, blocks, _, types in _scan(occ, True, occ.pair_count()):
+        counts[types, blocks] = counts.get((types, blocks), 0) + 1
+    return counts
+
+
+def test_class_counts_match_scan_on_golden_set(golden_tuples):
+    for text, t in golden_tuples.items():
+        occ = occurrences(t.cyclically_reduced())
+        assert class_counts(occ) == _folded_scan(occ), text
+
+
+@pytest.mark.parametrize(
+    "texts, rank",
+    [
+        (["[y^2,x]"], 2),              # summed generator is y
+        (["[x,y^3][x,z]"], 3),         # summed generator is y, then x and z
+        (["[x,z^2][y,z]"], 3),         # summed generator is the last one
+        (["", ""], 1),                 # no active generator
+        (["x X", "y Y"], 2),           # reduces to empty words
+        (["[x,y]", ""], 2),
+        (["[x,y]^2", "[x,z]"], 3),
+    ],
+)
+def test_class_counts_match_scan_on_chosen_tuples(texts, rank):
+    t = parse_tuple(texts, rank).cyclically_reduced()
+    occ = occurrences(t)
+    assert class_counts(occ) == _folded_scan(occ)
+
+
+@st.composite
+def balanced_tuples(draw):
+    """Balanced tuples of rank 1-4 with up to three words, some empty.
+
+    Each generator's exponent sum is cancelled by letters appended to a
+    drawn word, so the tuples are balanced but rarely reduced.
+    """
+    rank = draw(st.integers(1, 4))
+    letter = st.builds(
+        Letter, st.integers(1, rank), st.sampled_from((1, -1))
+    )
+    words = draw(
+        st.lists(st.lists(letter, max_size=5), min_size=1, max_size=3)
+    )
+    for gen in range(1, rank + 1):
+        excess = sum(let.sign for w in words for let in w if let.gen == gen)
+        fix = draw(st.integers(0, len(words) - 1))
+        words[fix] = words[fix] + [Letter(gen, -1 if excess > 0 else 1)] * abs(excess)
+    return word_tuple([Word(w) for w in words], rank)
+
+
+@settings(max_examples=150, deadline=None)
+@given(balanced_tuples(), st.booleans())
+@example(parse_tuple(["x X"], 1), False)  # tau endpoints that coincide
+@example(parse_tuple([""], 2), True)
+def test_class_counts_match_scan_on_random_tuples(t, reduce):
+    if reduce:
+        t = t.cyclically_reduced()
+    occ = occurrences(t)
+    if occ.pair_count() > 20_000:
+        return
+    assert class_counts(occ) == _folded_scan(occ)
+
+
+def test_sliced_scans_sum_to_the_whole():
+    occ = occurrences(parse_tuple(["[x,y]^3"], 2))
+    bounds = [0, 1, 7, 7, 20, occ.match_count()]
+    assert bounds[-2] < bounds[-1]
+    total = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        for key, count in surfaces._summed_scan(occ, (lo, hi)).items():
+            total[key] = total.get(key, 0) + count
+    assert total == _folded_scan(occ)
+
+
+def test_pool_route_matches_scan(monkeypatch):
+    monkeypatch.setattr(surfaces, "PARALLEL_MIN_SCAN", 0)
+    occ = occurrences(parse_tuple(["[x,y^2][x,z]"], 3))
+    assert class_counts(occ, jobs=2) == _folded_scan(occ)
+
+
+def test_small_scans_stay_serial(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*_, **__):
+        raise AssertionError("pool started for a small scan")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    occ = occurrences(parse_tuple(["[x,y]^4"], 2))
+    assert surfaces.summed_scan_size(occ) < surfaces.PARALLEL_MIN_SCAN
+    assert class_counts(occ, jobs=2) == class_counts(occ)
+
+
+def test_pair_cap_raised_before_any_work(monkeypatch):
+    def no_scan(*_):
+        raise AssertionError("scan started above the cap")
+
+    monkeypatch.setattr(surfaces, "_summed_scan", no_scan)
+    occ = occurrences(parse_tuple(["[x,y]^3"], 2))
+    cap = occ.pair_count() - 1
+    with pytest.raises(PairCapExceeded) as new:
+        class_counts(occ, cap=cap)
+    with pytest.raises(PairCapExceeded) as oracle:
+        next(_scan(occ, True, cap))
+    assert (new.value.needed, new.value.cap) == (1296, cap)
+    assert (oracle.value.needed, oracle.value.cap) == (1296, cap)
