@@ -139,15 +139,23 @@ def _config(args) -> RunConfig:
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = int(os.environ.get(SEED_ENV, "0"))
-    jobs = getattr(args, "jobs", None)
+    # subcommands that split no scan register no --jobs and ignore the env
+    jobs = getattr(args, "jobs", 1)
     if jobs is None:
-        jobs = int(os.environ.get(JOBS_ENV, "1"))
+        text = os.environ.get(JOBS_ENV, "1")
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise ValueError(f"{JOBS_ENV} must be an integer, got {text!r}") from None
     if jobs < 1:
         raise ValueError(f"--jobs / {JOBS_ENV} must be at least 1, got {jobs}")
+    pair_cap = getattr(args, "pair_cap", DEFAULT_PAIR_CAP)
+    if pair_cap < 1:
+        raise ValueError(f"--pair-cap must be at least 1, got {pair_cap}")
     return RunConfig(
         words=_resolve_words(args),
         laurent_terms=getattr(args, "laurent", DEFAULT_LAURENT_TERMS),
-        pair_cap=getattr(args, "pair_cap", DEFAULT_PAIR_CAP),
+        pair_cap=pair_cap,
         jobs=jobs,
         seed=seed,
         as_json=getattr(args, "json", False),
@@ -222,7 +230,9 @@ def cmd_trace(args) -> int:
 def cmd_chi(args) -> int:
     cfg = _config(args)
     t = cfg.words
-    scan = pair_statistics(t, cap=cfg.pair_cap, jobs=cfg.jobs)
+    scan = pair_statistics(
+        t, cap=cfg.pair_cap, collect_argmax=False, jobs=cfg.jobs
+    )
     obj: dict = {
         "words": [str(w) for w in t.words],
         "rank": t.rank,
@@ -238,14 +248,13 @@ def cmd_chi(args) -> int:
         lines.append(f"ch = {scan.ch}, cl = {cl}")
     else:
         lines.append(f"ch = {scan.ch}")
-    lines.append(
-        f"achieving pairs: {len(scan.argmax)} of {scan.pair_count}"
-    )
+    achieving = scan.histogram[scan.ch]
+    lines.append(f"achieving pairs: {achieving} of {scan.pair_count}")
     lines.append(f"diagonal ch: {scan.diagonal_ch}")
     obj |= {
         "ch": scan.ch,
         "cl": cl,
-        "achieving_pairs": len(scan.argmax),
+        "achieving_pairs": achieving,
         "pair_count": scan.pair_count,
         "diagonal_ch": scan.diagonal_ch,
     }
@@ -260,7 +269,7 @@ def cmd_chi(args) -> int:
 def cmd_classes(args) -> int:
     cfg = _config(args)
     t = cfg.words
-    classes = solution_classes(t, cap=cfg.pair_cap)
+    classes = solution_classes(t, cap=cfg.pair_cap, jobs=cfg.jobs)
     lines = [f"words: {t}  (rank {t.rank})", f"solution classes: {len(classes)}"]
     cls_objs = []
     for k, cls in enumerate(classes):
@@ -411,7 +420,7 @@ def cmd_verify_mc(args) -> int:
     return 0
 
 
-def _add_word_options(sub, *, multi_word: bool = True) -> None:
+def _add_word_options(sub, *, multi_word: bool = True, jobs: bool = True) -> None:
     sub.add_argument(
         "-w", "--word", action="append", metavar="WORD",
         help="word in the grammar, e.g. \"[x,y]^2\" (repeatable)" if multi_word
@@ -423,8 +432,9 @@ def _add_word_options(sub, *, multi_word: bool = True) -> None:
                      help="number of generators (default: inferred)")
     sub.add_argument("--pair-cap", type=int, default=DEFAULT_PAIR_CAP,
                      help="abort enumerations beyond this many matching pairs")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help=f"worker processes for the pair scan (env {JOBS_ENV})")
+    if jobs:
+        sub.add_argument("--jobs", type=int, default=None,
+                         help=f"worker processes for the pair scan (env {JOBS_ENV})")
     sub.add_argument("--json", action="store_true", help="emit a JSON object")
 
 
@@ -452,14 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classes)
 
     p = subs.add_parser("incompressible", help="check a user-supplied matching pair")
-    _add_word_options(p)
+    _add_word_options(p, jobs=False)
     p.add_argument("--sigma", required=True,
                    help="per-generator 1-based image lists, e.g. \"2,1;1\"")
     p.add_argument("--tau", required=True, help="same format as --sigma")
     p.set_defaults(func=cmd_incompressible)
 
     p = subs.add_parser("scl", help="upper bound for stable commutator length")
-    _add_word_options(p)
+    _add_word_options(p, jobs=False)
     p.add_argument("--budget", type=int, required=True,
                    help="max total power of the word across the tuple")
     p.set_defaults(func=cmd_scl)

@@ -11,7 +11,6 @@ and whose fundamental group presents the stabilizer of the solution.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -22,9 +21,10 @@ from .surfaces import (
     MatchingPair,
     OccurrenceTable,
     PairCapExceeded,
+    _euler,
+    _transposition_neighbours,
     euler_char,
-    max_euler,
-    occurrences,
+    pair_statistics,
 )
 from .words import WordTuple
 
@@ -84,24 +84,6 @@ def pair_leq(a: MatchingPair, b: MatchingPair) -> bool:
     )
 
 
-def _transposition_neighbours(p: MatchingPair) -> list[MatchingPair]:
-    """All pairs differing from p by one transposition in one coordinate.
-
-    Every such pair is comparable with p (one covers the other), since
-    the middle norm changes by exactly 1.
-    """
-    out = []
-    for side in (0, 1):
-        m = p[side]
-        for i, part in enumerate(m):
-            for j, k in itertools.combinations(range(len(part)), 2):
-                moved = list(part)
-                moved[j], moved[k] = moved[k], moved[j]
-                new = m[:i] + (tuple(moved),) + m[i + 1:]
-                out.append((new, p[1]) if side == 0 else (p[0], new))
-    return out
-
-
 def is_incompressible(
     occ: OccurrenceTable,
     sigma: Matching,
@@ -123,12 +105,13 @@ def is_incompressible(
     start: MatchingPair = (sigma, tau)
     seen = {start}
     queue = deque([start])
+    partitions: dict = {}
     while queue:
         current = queue.popleft()
         for nxt in _transposition_neighbours(current):
             if nxt in seen:
                 continue
-            chi = euler_char(occ, nxt[0], nxt[1])
+            chi = _euler(occ, *nxt, partitions)
             if chi > chi0:
                 return False
             if chi == chi0:
@@ -365,20 +348,25 @@ def solution_classes(
     *,
     cyclic_reduce: bool = True,
     cap: int = DEFAULT_PAIR_CAP,
+    jobs: int = 1,
 ) -> list[SolutionClass]:
     """Partition the maximal-Euler pairs into solution classes.
 
     Two pairs share a class when they are joined by comparabilities
-    inside the maximal-characteristic level set.
+    inside the maximal-characteristic level set.  A comparable pair of
+    maximal pairs is joined by a geodesic of single transpositions whose
+    pairs are all maximal, so the classes are the components of the
+    transposition moves among the maximal pairs.  ``jobs`` splits the
+    class-count scan behind ``pair_statistics``.
     """
     if cyclic_reduce:
         t = t.cyclically_reduced()
     if not t.is_balanced():
         raise ValueError(f"word tuple {t} is not balanced")
-    scan = max_euler(t, cyclic_reduce=False, cap=cap, collect_argmax=True)
-    pairs = list(scan.argmax)
-    m = len(pairs)
-    parent = list(range(m))
+    scan = pair_statistics(t, cyclic_reduce=False, cap=cap, jobs=jobs)
+    pairs = scan.argmax
+    index = {p: i for i, p in enumerate(pairs)}
+    parent = list(range(len(pairs)))
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -386,15 +374,16 @@ def solution_classes(
             v = parent[v]
         return v
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pair_leq(pairs[i], pairs[j]) or pair_leq(pairs[j], pairs[i]):
+    for i, p in enumerate(pairs):
+        for q in _transposition_neighbours(p):
+            j = index.get(q)
+            if j is not None:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
     components: dict[int, list[MatchingPair]] = {}
-    for i in range(m):
-        components.setdefault(find(i), []).append(pairs[i])
+    for i, p in enumerate(pairs):
+        components.setdefault(find(i), []).append(p)
 
     out = []
     for members in sorted(components.values()):

@@ -163,22 +163,17 @@ def _sigma_partition(occ: OccurrenceTable, sigma_parts) -> tuple[list[int], int]
 
 
 def _scan(
-    occ: OccurrenceTable,
-    want_types: bool,
-    cap: int,
-    sigma_range: tuple[int, int] | None = None,
-) -> Iterator[tuple[tuple, tuple, int, int, tuple[Partition, ...] | None]]:
+    occ: OccurrenceTable, cap: int
+) -> Iterator[tuple[tuple, tuple, int, int, tuple[Partition, ...]]]:
     """Yield (sigma_parts, tau_parts, blocks, z_discs, cycle_types) per pair.
 
-    The per-pair route: ``pair_statistics`` (chi, classes) needs every
-    pair, and the differential tests fold it as the oracle for
-    ``class_counts``, which sums one generator's tau out instead.
+    The per-pair oracle: the differential tests fold it to check
+    ``class_counts``, which sums one generator's tau out instead, and
+    ``pair_statistics``, which is read off ``class_counts``.
     The parts tuples range over active generators only; use
     ``occ.expand`` to recover full matchings.  The sigma-side merges are
     frozen into a flattened parent array once per sigma and copied per
     tau, so the inner loop does only the tau unions and cycle walks.
-    ``sigma_range`` restricts the outer enumeration to a slice of the
-    sigma order, which is how the scan is chunked across workers.
     """
     total = occ.pair_count()
     if total > cap:
@@ -190,11 +185,8 @@ def _scan(
     neg_prev = [occ.neg_prev[i] for i in active]
     perms = [list(itertools.permutations(range(c))) for c in sizes]
     n_nodes = occ.num_letters
-    sigma_iter = itertools.product(*perms)
-    if sigma_range is not None:
-        sigma_iter = itertools.islice(sigma_iter, *sigma_range)
 
-    for sigma_parts in sigma_iter:
+    for sigma_parts in itertools.product(*perms):
         parent0, count0 = _sigma_partition(occ, sigma_parts)
         sinv = []
         for gi in range(n_act):
@@ -223,41 +215,29 @@ def _scan(
                         parent[a] = b
                         merges += 1
             blocks = n_nodes - count0 - merges
-            z_total = 0
-            types: list[Partition] | None = [] if want_types else None
+            types = []
             for gi in range(n_act):
                 inv = sinv[gi]
                 tp = tau_parts[gi]
                 seen = 0
-                if want_types:
-                    lengths = []
-                    for start in range(sizes[gi]):
-                        if seen >> start & 1:
-                            continue
-                        size = 0
-                        k = start
-                        while not seen >> k & 1:
-                            seen |= 1 << k
-                            size += 1
-                            k = inv[tp[k]]
-                        lengths.append(size)
-                    z_total += len(lengths)
-                    types.append(tuple(sorted(lengths, reverse=True)))
-                else:
-                    for start in range(sizes[gi]):
-                        if seen >> start & 1:
-                            continue
-                        z_total += 1
-                        k = start
-                        while not seen >> k & 1:
-                            seen |= 1 << k
-                            k = inv[tp[k]]
+                lengths = []
+                for start in range(sizes[gi]):
+                    if seen >> start & 1:
+                        continue
+                    size = 0
+                    k = start
+                    while not seen >> k & 1:
+                        seen |= 1 << k
+                        size += 1
+                        k = inv[tp[k]]
+                    lengths.append(size)
+                types.append(tuple(sorted(lengths, reverse=True)))
             yield (
                 sigma_parts,
                 tau_parts,
                 blocks,
-                z_total,
-                tuple(types) if want_types else None,
+                sum(map(len, types)),
+                tuple(types),
             )
 
 
@@ -325,12 +305,52 @@ def z_disc_count(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
 
 
 def euler_char(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
-    return (
-        block_count(occ, sigma, tau)
-        + z_disc_count(occ, sigma, tau)
-        - occ.num_letters
-        + occ.num_empty
-    )
+    return _euler(occ, occ.check_matching(sigma), occ.check_matching(tau), {})
+
+
+def _euler(
+    occ: OccurrenceTable, sigma: Matching, tau: Matching, partitions: dict
+) -> int:
+    """Euler characteristic of a pair of valid full matchings.
+
+    blocks + cycles - L_total + #empty, with blocks = L_total - merges.
+    ``partitions`` memoises ``_sigma_partition`` by sigma, so a search
+    that meets one sigma with many taus runs only the tau side for each.
+    """
+    frozen = partitions.get(sigma)
+    if frozen is None:
+        frozen = _sigma_partition(occ, [sigma[i] for i in occ.active])
+        partitions[sigma] = frozen
+    parent = frozen[0].copy()
+    merges = frozen[1]
+    cycles = 0
+    for i in occ.active:
+        sp, tp = sigma[i], tau[i]
+        po, np_ = occ.pos_ids[i], occ.neg_prev[i]
+        inv = [0] * len(sp)
+        for k, v in enumerate(sp):
+            inv[v] = k
+            a = po[k]
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            b = np_[tp[k]]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a != b:
+                parent[a] = b
+                merges += 1
+        seen = 0
+        for start in range(len(sp)):
+            if seen >> start & 1:
+                continue
+            cycles += 1
+            k = start
+            while not seen >> k & 1:
+                seen |= 1 << k
+                k = inv[tp[k]]
+    return cycles - merges + occ.num_empty
 
 
 def pair_mobius(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
@@ -342,7 +362,7 @@ def pair_mobius(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
 
 @dataclass(frozen=True)
 class PairScan:
-    """Exhaustive statistics of the matching-pair enumeration."""
+    """Statistics of the matching-pair enumeration, read off the class counts."""
 
     balanced: bool
     ch: int | float                      # max Euler characteristic; -inf if unbalanced
@@ -356,33 +376,6 @@ class PairScan:
 _UNBALANCED_SCAN = PairScan(False, float("-inf"), (), None, {}, 0, 0)
 
 
-def _accumulate(occ, scan_iter, collect_argmax):
-    """Fold one scan stream into (histogram, max, argmax parts, diagonal max)."""
-    shift = occ.num_empty - occ.num_letters
-    hist: dict[int, int] = {}
-    best: int | None = None
-    best_pairs: list[tuple[tuple, tuple]] = []
-    diag: int | None = None
-    for sigma_parts, tau_parts, blocks, z_total, _ in scan_iter:
-        chi = blocks + z_total + shift
-        hist[chi] = hist.get(chi, 0) + 1
-        if best is None or chi > best:
-            best = chi
-            best_pairs = [(sigma_parts, tau_parts)] if collect_argmax else []
-        elif chi == best and collect_argmax:
-            best_pairs.append((sigma_parts, tau_parts))
-        if sigma_parts == tau_parts and (diag is None or chi > diag):
-            diag = chi
-    return hist, best, best_pairs, diag
-
-
-def _chunk_worker(args):
-    letters, rank, lo, hi, cap, collect_argmax = args
-    words = WordTuple(tuple(Word(w) for w in letters), rank)
-    occ = OccurrenceTable(words)
-    return _accumulate(occ, _scan(occ, False, cap, (lo, hi)), collect_argmax)
-
-
 def pair_statistics(
     t: WordTuple,
     *,
@@ -391,63 +384,32 @@ def pair_statistics(
     collect_argmax: bool = True,
     jobs: int = 1,
 ) -> PairScan:
-    """Scan all matching pairs of t, tracking the full chi histogram.
+    """The chi histogram of all matching pairs of t, and the pairs achieving ch.
 
-    With ``jobs`` > 1 the sigma enumeration is split into contiguous
-    slices scanned in worker processes; the merge is order-independent,
-    and the argmax list is sorted canonically either way.
+    A pair of class (cycle types, blocks) has chi = blocks + sum of the
+    cycle counts + #empty - L, so the histogram, ch and the diagonal ch
+    (classes whose types are all ones, since sigma^-1 tau = id exactly
+    when sigma = tau) all come from ``class_counts``; ``jobs`` splits
+    that scan.  The argmax, only when collected, is a search inside the
+    ch level set (``_maximal_pairs``), sorted canonically.
     """
     if cyclic_reduce:
         t = t.cyclically_reduced()
     if not t.is_balanced():
         return _UNBALANCED_SCAN
     occ = occurrences(t)
-    match_count = occ.match_count()
-    if jobs > 1 and match_count >= 4 * jobs:
-        if occ.pair_count() > cap:
-            raise PairCapExceeded(occ.pair_count(), cap)
-        from concurrent.futures import ProcessPoolExecutor
-
-        letters = tuple(
-            tuple((let.gen, let.sign) for let in w) for w in t.words
-        )
-        bounds = [match_count * k // jobs for k in range(jobs + 1)]
-        tasks = [
-            (letters, t.rank, bounds[k], bounds[k + 1], cap, collect_argmax)
-            for k in range(jobs)
-            if bounds[k] < bounds[k + 1]
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_chunk_worker, tasks))
-        hist = {}
-        best = None
-        best_pairs = []
-        diag = None
-        for part_hist, part_best, part_pairs, part_diag in results:
-            for chi, count in part_hist.items():
-                hist[chi] = hist.get(chi, 0) + count
-            if part_best is not None and (best is None or part_best > best):
-                best = part_best
-                best_pairs = []
-            if part_best == best:
-                best_pairs.extend(part_pairs)
-            if part_diag is not None and (diag is None or part_diag > diag):
-                diag = part_diag
-    else:
-        hist, best, best_pairs, diag = _accumulate(
-            occ, _scan(occ, False, cap), collect_argmax
-        )
-    argmax = tuple(
-        sorted((occ.expand(s), occ.expand(tt)) for s, tt in best_pairs)
-    )
+    shift = occ.num_empty - occ.num_letters
+    hist: dict[int, int] = {}
+    diag: int | None = None
+    for (types, blocks), count in class_counts(occ, cap=cap, jobs=jobs).items():
+        chi = blocks + sum(map(len, types)) + shift
+        hist[chi] = hist.get(chi, 0) + count
+        if all(mu[0] == 1 for mu in types) and (diag is None or chi > diag):
+            diag = chi
+    ch = max(hist)
+    argmax = tuple(_maximal_pairs(occ, ch)) if collect_argmax else ()
     return PairScan(
-        True,
-        best if best is not None else float("-inf"),
-        argmax,
-        diag,
-        hist,
-        match_count,
-        occ.pair_count(),
+        True, ch, argmax, diag, hist, occ.match_count(), occ.pair_count()
     )
 
 
@@ -473,31 +435,59 @@ def max_euler(
     )
 
 
-def diagonal_max_euler(
-    t: WordTuple,
-    *,
-    cyclic_reduce: bool = True,
-    cap: int = DEFAULT_PAIR_CAP,
-) -> int | float:
-    """Max Euler characteristic over diagonal pairs (sigma, sigma) only.
+def _transposition_neighbours(p: MatchingPair) -> list[MatchingPair]:
+    """All pairs differing from p by one transposition in one coordinate.
 
-    Agrees with ``max_euler`` but costs |Match| instead of |Match|^2
-    scans; used where only the maximum is needed.
+    Every such pair is comparable with p (one covers the other), since
+    the middle norm changes by exactly 1.
     """
-    if cyclic_reduce:
-        t = t.cyclically_reduced()
-    if not t.is_balanced():
-        return float("-inf")
-    occ = occurrences(t)
-    if occ.match_count() > cap:
-        raise PairCapExceeded(occ.match_count(), cap)
+    out = []
+    for side in (0, 1):
+        m = p[side]
+        for i, part in enumerate(m):
+            for j, k in itertools.combinations(range(len(part)), 2):
+                moved = list(part)
+                moved[j], moved[k] = moved[k], moved[j]
+                new = m[:i] + (tuple(moved),) + m[i + 1:]
+                out.append((new, p[1]) if side == 0 else (p[0], new))
+    return out
+
+
+def _maximal_pairs(occ: OccurrenceTable, ch: int) -> list[MatchingPair]:
+    """All pairs of Euler characteristic ch, sorted: a search from the diagonal.
+
+    chi never rises along the pair order and (sigma, sigma) precedes
+    (sigma, tau), so every pair at the maximum ch lies above a diagonal
+    pair at ch, and so does every pair on a transposition geodesic
+    between the two.  Single transpositions that stay at ch therefore
+    reach every maximal pair from the maximal diagonal ones.
+    """
+    seen = set()
+    for parts, chi in _diagonal_scan(occ):
+        if chi == ch:
+            m = occ.expand(parts)
+            seen.add((m, m))
+    stack = list(seen)
+    partitions: dict = {}
+    while stack:
+        for nxt in _transposition_neighbours(stack.pop()):
+            if nxt not in seen and _euler(occ, *nxt, partitions) == ch:
+                seen.add(nxt)
+                stack.append(nxt)
+    return sorted(seen)
+
+
+def _diagonal_scan(occ: OccurrenceTable) -> Iterator[tuple[tuple, int]]:
+    """Yield (sigma_parts, chi(sigma, sigma)) for every matching sigma.
+
+    The parts range over active generators, in ``_scan``'s sigma order.
+    """
     sizes = [occ.counts[i] for i in occ.active]
     pos_ids = [occ.pos_ids[i] for i in occ.active]
     pos_prev = [occ.pos_prev[i] for i in occ.active]
     neg_ids = [occ.neg_ids[i] for i in occ.active]
     neg_prev = [occ.neg_prev[i] for i in occ.active]
     n_nodes = occ.num_letters
-    best: int | None = None
     for parts in itertools.product(
         *(itertools.permutations(range(c)) for c in sizes)
     ):
@@ -519,10 +509,28 @@ def diagonal_max_euler(
                         parent[a] = b
                         merges += 1
         # chi(sigma, sigma) = B - L + #empty: all L z-discs are fixed points
-        chi = (n_nodes - merges) - occ.L + occ.num_empty
-        if best is None or chi > best:
-            best = chi
-    return best if best is not None else occ.num_empty
+        yield parts, (n_nodes - merges) - occ.L + occ.num_empty
+
+
+def diagonal_max_euler(
+    t: WordTuple,
+    *,
+    cyclic_reduce: bool = True,
+    cap: int = DEFAULT_PAIR_CAP,
+) -> int | float:
+    """Max Euler characteristic over diagonal pairs (sigma, sigma) only.
+
+    Agrees with ``max_euler`` but costs |Match| instead of |Match|^2
+    scans; used where only the maximum is needed.
+    """
+    if cyclic_reduce:
+        t = t.cyclically_reduced()
+    if not t.is_balanced():
+        return float("-inf")
+    occ = occurrences(t)
+    if occ.match_count() > cap:
+        raise PairCapExceeded(occ.match_count(), cap)
+    return max(chi for _, chi in _diagonal_scan(occ))
 
 
 def _summed_scan(
@@ -675,13 +683,11 @@ def commutator_length(
 ) -> int | float:
     """Least g such that w is a product of g commutators; inf if none.
 
-    Computed as (1 - ch(w)) / 2 from the maximal Euler characteristic
-    over matching pairs.
+    Computed as (1 - ch(w)) / 2, with ch from the diagonal pairs alone.
     """
     t = word_tuple([w], rank)
     if not t.is_balanced():
         return math.inf
     if w.cyclic_reduce().is_empty:
         return 0
-    scan = max_euler(t, cap=cap, collect_argmax=False)
-    return (1 - scan.ch) // 2
+    return (1 - diagonal_max_euler(t, cap=cap)) // 2

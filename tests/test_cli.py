@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wordmeasure import surfaces, trace
+from wordmeasure import solutions, surfaces, trace
 from wordmeasure.cli import canonical_dumps, main
 
 
@@ -110,6 +110,22 @@ class TestClasses:
         assert code == 1
         assert "balanced" in err
 
+    def test_jobs_reach_the_scan(self, capsys, monkeypatch):
+        monkeypatch.setattr(surfaces, "PARALLEL_MIN_SCAN", 0)  # pool runs
+        jobs = []
+        original = solutions.pair_statistics
+
+        def recorded(*args, **kwargs):
+            jobs.append(kwargs["jobs"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solutions, "pair_statistics", recorded)
+        _, serial, _ = run(capsys, "classes", "-w", "[x,y]^2", "--json", "--jobs", "1")
+        code, parallel, _ = run(capsys, "classes", "-w", "[x,y]^2", "--json", "--jobs", "2")
+        assert code == 0
+        assert parallel == serial
+        assert jobs == [1, 2]
+
 
 class TestOtherCommands:
     def test_wg_table(self, capsys):
@@ -204,8 +220,13 @@ class TestErrorsAndConfig:
         ["verify-mc", "-w", "[x,y]", "--n", "3", "--samples", "-5"],
         ["wg", "--L", "-1"],
         ["trace", "-w", "[x,y]", "--jobs", "0"],
+        ["chi", "-w", "[x,y]", "--pair-cap", "0"],
+        ["classes", "-w", "[x,y]", "--pair-cap", "-3"],
     ],
-    ids=["samples-zero", "samples-negative", "wg-negative-L", "jobs-zero"],
+    ids=[
+        "samples-zero", "samples-negative", "wg-negative-L", "jobs-zero",
+        "pair-cap-zero", "pair-cap-negative",
+    ],
 )
 def test_invalid_values_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -213,3 +234,31 @@ def test_invalid_values_are_usage_errors(capsys, argv):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert out == ""
+
+
+def test_non_integer_jobs_env_is_named(capsys, monkeypatch):
+    monkeypatch.setenv("WORDMEASURE_PARALLELISM", "abc")
+    code, out, err = run(capsys, "chi", "-w", "[x,y]")
+    assert code == 1
+    assert err.startswith("error:")
+    assert "WORDMEASURE_PARALLELISM" in err and "'abc'" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scl", "-w", "[x,y]", "--budget", "2"],
+        ["incompressible", "-w", "[x^2,y]", "--sigma", "2,1;1", "--tau", "2,1;1"],
+    ],
+    ids=["scl", "incompressible"],
+)
+def test_jobs_rejected_where_nothing_is_split(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, *argv, "--jobs", "2")
+    assert code == 1
+    assert "unrecognized arguments: --jobs 2" in err
+    assert out == ""
+    # the environment setting is not read either
+    monkeypatch.setenv("WORDMEASURE_PARALLELISM", "abc")
+    code, _, _ = run(capsys, *argv)
+    assert code == 0

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from wordmeasure import surfaces
 from wordmeasure.ratfn import Polynomial, RationalFunction
+from wordmeasure.solutions import pair_leq, solution_classes
 from wordmeasure.surfaces import (
     PairCapExceeded,
+    PairScan,
     _scan,
     block_count,
     class_counts,
@@ -18,6 +20,7 @@ from wordmeasure.surfaces import (
     enumerate_matchings,
     euler_char,
     occurrences,
+    pair_statistics,
     z_disc_count,
 )
 from wordmeasure.trace import trace_exact
@@ -66,7 +69,7 @@ def test_grouped_trace_matches_naive_accumulation():
 def test_scan_agrees_with_single_pair_helpers():
     for t in _random_balanced_tuples(8, seed=42):
         occ = occurrences(t.cyclically_reduced())
-        for s_parts, t_parts, blocks, z_total, types in _scan(occ, True, 10**6):
+        for s_parts, t_parts, blocks, z_total, types in _scan(occ, 10**6):
             s_full, t_full = occ.expand(s_parts), occ.expand(t_parts)
             assert blocks == block_count(occ, s_full, t_full)
             assert z_total == z_disc_count(occ, s_full, t_full)
@@ -80,7 +83,7 @@ def test_scan_agrees_with_single_pair_helpers():
 def _folded_scan(occ):
     """Class counts folded pair by pair from the per-pair scan (the oracle)."""
     counts = {}
-    for _, _, blocks, _, types in _scan(occ, True, occ.pair_count()):
+    for _, _, blocks, _, types in _scan(occ, occ.pair_count()):
         counts[types, blocks] = counts.get((types, blocks), 0) + 1
     return counts
 
@@ -182,6 +185,71 @@ def test_pair_cap_raised_before_any_work(monkeypatch):
     with pytest.raises(PairCapExceeded) as new:
         class_counts(occ, cap=cap)
     with pytest.raises(PairCapExceeded) as oracle:
-        next(_scan(occ, True, cap))
+        next(_scan(occ, cap))
     assert (new.value.needed, new.value.cap) == (1296, cap)
     assert (oracle.value.needed, oracle.value.cap) == (1296, cap)
+
+
+def _folded_statistics(t):
+    """``pair_statistics`` folded pair by pair from the per-pair scan (the oracle)."""
+    occ = occurrences(t)
+    shift = occ.num_empty - occ.num_letters
+    chis = [
+        (s, tt, blocks + z_total + shift)
+        for s, tt, blocks, z_total, _ in _scan(occ, occ.pair_count())
+    ]
+    hist = {}
+    for _, _, chi in chis:
+        hist[chi] = hist.get(chi, 0) + 1
+    ch = max(hist)
+    argmax = sorted((occ.expand(s), occ.expand(tt)) for s, tt, chi in chis if chi == ch)
+    diagonal = max(chi for s, tt, chi in chis if s == tt)
+    return PairScan(
+        True, ch, tuple(argmax), diagonal, hist, occ.match_count(), occ.pair_count()
+    )
+
+
+def test_pair_statistics_match_scan_on_golden_set(golden_tuples):
+    for text, t in golden_tuples.items():
+        assert pair_statistics(t) == _folded_statistics(t.cyclically_reduced()), text
+
+
+@settings(max_examples=150, deadline=None)
+@given(balanced_tuples(), st.booleans())
+@example(parse_tuple(["[y^2,x]"], 3), False)  # most frequent y; z unused
+@example(parse_tuple(["[x,z^2][y,z]", ""], 4), False)  # summed z; t unused
+@example(parse_tuple(["[x,y]^2", "YXyx", ""], 2), False)
+@example(parse_tuple(["x X"], 1), False)
+@example(parse_tuple(["", ""], 3), True)
+def test_pair_statistics_match_scan_on_random_tuples(t, reduce):
+    if reduce:
+        t = t.cyclically_reduced()
+    if occurrences(t).pair_count() > 20_000:
+        return
+    assert pair_statistics(t, cyclic_reduce=False) == _folded_statistics(t)
+
+
+def _comparability_classes(pairs):
+    """Components of comparability among the pairs: O(m^2) pair_leq (the oracle)."""
+    parent = list(range(len(pairs)))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for i, j in itertools.combinations(range(len(pairs)), 2):
+        if pair_leq(pairs[i], pairs[j]) or pair_leq(pairs[j], pairs[i]):
+            parent[find(i)] = find(j)
+    groups = {}
+    for i, p in enumerate(pairs):
+        groups.setdefault(find(i), []).append(p)
+    return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+def test_solution_classes_match_comparability_components(golden_tuples):
+    tuples = dict(golden_tuples)
+    tuples["[x^2,y^2]^2"] = parse_tuple(["[x^2,y^2]^2"], 2)
+    for text, t in tuples.items():
+        expected = _comparability_classes(pair_statistics(t).argmax)
+        assert [cls.members for cls in solution_classes(t)] == expected, text

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from wordmeasure import surfaces
 from wordmeasure.solutions import pair_leq
 from wordmeasure.surfaces import (
     OccurrenceTable,
@@ -166,6 +167,16 @@ class TestCommutatorLength:
 
     def test_trivial_word(self):
         assert commutator_length(parse("x X", 1)) == 0
+
+    def test_no_pair_scan(self, monkeypatch):
+        # ch comes from the diagonal pairs alone
+        def no_scan(*_, **__):
+            raise AssertionError("commutator_length scanned pairs")
+
+        monkeypatch.setattr(surfaces, "_scan", no_scan)
+        monkeypatch.setattr(surfaces, "_summed_scan", no_scan)
+        w = parse("[x,y]", 2)
+        assert [commutator_length(w**m) for m in (1, 2, 3, 4)] == [1, 2, 2, 3]
 
 
 SMALL_TUPLES = [XY, XXY, XYXZ, XY2, ANNULUS, parse_tuple(["x^2", "X^2"], 1)]
