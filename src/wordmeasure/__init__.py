@@ -7,7 +7,6 @@ commutator length, solution classes, their poset Euler characteristics
 and stabilizer presentations.
 """
 
-from .montecarlo import McEstimate, estimate, sample_haar
 from .perm import (
     Permutation,
     character,
@@ -62,7 +61,6 @@ from .weingarten import (
     WeingartenTable,
     moment,
     wg,
-    wg_char,
     wg_inversion,
     wg_leading,
     wg_table,
@@ -80,3 +78,15 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+_MONTECARLO = ("McEstimate", "estimate", "sample_haar")
+
+
+def __getattr__(name: str):
+    # the Monte-Carlo names are served on first use, so that importing
+    # the package (and every exact subcommand) does not load numpy
+    if name in _MONTECARLO:
+        from . import montecarlo
+
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .montecarlo import estimate
 from .perm import partitions
 from .ratfn import LaurentSeries, PoleError, RationalFunction
 from .solutions import is_incompressible, solution_classes
@@ -375,6 +374,8 @@ def cmd_wg(args) -> int:
 
 
 def cmd_verify_mc(args) -> int:
+    from .montecarlo import estimate  # the only subcommand that loads numpy
+
     cfg = _config(args)
     t = cfg.words
     result = trace_exact(t, cap=cfg.pair_cap)

@@ -117,7 +117,11 @@ def is_incompressible(
             if chi == chi0:
                 seen.add(nxt)
                 if len(seen) > cap:
-                    raise PairCapExceeded(len(seen), cap)
+                    raise PairCapExceeded(
+                        len(seen), cap,
+                        f"the incompressibility search visited {len(seen)} "
+                        f"pairs, past the cap {cap}",
+                    )
                 queue.append(nxt)
     return True
 

@@ -34,9 +34,9 @@ class UnbalancedError(ValueError):
 class PairCapExceeded(RuntimeError):
     """An enumeration would exceed the configured pair cap."""
 
-    def __init__(self, needed: int, cap: int) -> None:
+    def __init__(self, needed: int, cap: int, message: str | None = None) -> None:
         super().__init__(
-            f"enumeration of {needed} matching pairs exceeds the cap {cap}"
+            message or f"enumeration of {needed} matching pairs exceeds the cap {cap}"
         )
         self.needed = needed
         self.cap = cap

@@ -1,16 +1,18 @@
 """The unitary Weingarten function as an exact rational function of n.
 
 Two independent routes are implemented: the character formula (the
-default, cached per cycle type) and direct inversion of
-sigma -> n^#cycles(sigma) in the group ring, kept as a test oracle.
+default, all cycle types of one L at once over a common denominator)
+and direct inversion of sigma -> n^#cycles(sigma) in the group ring,
+kept as a test oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 
 from .perm import (
     Partition,
@@ -18,16 +20,13 @@ from .perm import (
     all_permutations,
     character,
     check_partition,
-    content_polynomial,
     dimension,
     mobius_of_cycle_type,
     partitions,
 )
-from .ratfn import ONE, Polynomial, RationalFunction
+from .ratfn import Polynomial, RationalFunction
 
 WG_INVERSION_LIMIT = 8
-
-_wg_cache: dict[Partition, RationalFunction] = {}
 
 
 def wg(mu: Partition) -> RationalFunction:
@@ -36,26 +35,8 @@ def wg(mu: Partition) -> RationalFunction:
     Character formula: sum over partitions lambda of L of
     dim(lambda) * chi_lambda(mu) / (L! * prod of (n + j - i)).
     """
-    mu = tuple(sorted(mu, reverse=True))
-    cached = _wg_cache.get(mu)
-    if cached is not None:
-        return cached
-    check_partition(mu)
-    L = sum(mu)
-    lfact = math.factorial(L)
-    total = RationalFunction.zero()
-    for lam in partitions(L):
-        coef = dimension(lam) * character(lam, mu)
-        if coef == 0:
-            continue
-        total = total + RationalFunction(
-            Polynomial.constant(Fraction(coef, lfact)), content_polynomial(lam)
-        )
-    _wg_cache[mu] = total
-    return total
-
-
-wg_char = wg
+    mu = check_partition(sorted(mu, reverse=True))
+    return _wg_values(sum(mu))[mu]
 
 
 def wg_leading(mu: Partition) -> tuple[int, int]:
@@ -84,16 +65,51 @@ def wg_table(L: int) -> WeingartenTable:
     """Table computed through the character formula."""
     if L < 0:
         raise ValueError(f"L must be nonnegative, got {L}")
-    return WeingartenTable(L, {mu: wg(mu) for mu in partitions(L)})
+    return WeingartenTable(L, dict(_wg_values(L)))
+
+
+@lru_cache(maxsize=16)
+def _wg_values(L: int) -> dict[Partition, RationalFunction]:
+    """wg(mu) for every partition mu of L, in ``partitions`` order.
+
+    Every lambda term is written over D, the lcm of the content
+    polynomials: the product over contents c of (n + c) to the largest
+    number of cells of content c in any diagram.  Then each value is
+    one integer numerator sum over L! * D, reduced once.  The dict is
+    shared by every caller; ``wg_table`` hands out copies.
+    """
+    lams = list(partitions(L))
+    contents = [
+        Counter(j - i for i, row in enumerate(lam) for j in range(row))
+        for lam in lams
+    ]
+    top = Counter()
+    for cells in contents:
+        top |= cells
+
+    def linear_product(cells: Counter) -> list[int]:
+        poly = [1]
+        for c in sorted(cells.elements()):
+            poly = _pmul(poly, [c, 1])
+        return poly
+
+    cofactors = [linear_product(top - cells) for cells in contents]
+    den = Polynomial([math.factorial(L) * a for a in linear_product(top)])
+    dims = [dimension(lam) for lam in lams]
+    values = {}
+    for mu in lams:
+        num = [0] * len(den.coeffs)
+        for lam, dim, cofactor in zip(lams, dims, cofactors):
+            coef = dim * character(lam, mu)
+            if coef:
+                for k, a in enumerate(cofactor):
+                    num[k] += coef * a
+        values[mu] = RationalFunction(Polynomial(num), den)
+    return values
 
 
 # ---------------------------------------------------------------------------
-# group-ring inversion oracle
-#
-# Solving the convolution system uses fraction-free (Bareiss)
-# elimination over integer-coefficient polynomials, held as plain
-# coefficient lists: all divisions below are exact, so no gcds are
-# needed until the final back-substitution.
+# integer polynomials as plain coefficient lists (index = degree)
 
 def _pmul(a: list[int], b: list[int]) -> list[int]:
     if not a or not b:
@@ -107,6 +123,14 @@ def _pmul(a: list[int], b: list[int]) -> list[int]:
         out.pop()
     return out
 
+
+# ---------------------------------------------------------------------------
+# group-ring inversion oracle
+#
+# Solving the convolution system uses fraction-free (Bareiss)
+# elimination over integer-coefficient polynomials, held as plain
+# coefficient lists: all divisions below are exact, so no gcds are
+# needed until the final back-substitution.
 
 def _psub(a: list[int], b: list[int]) -> list[int]:
     out = list(a) + [0] * (len(b) - len(a))

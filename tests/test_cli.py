@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import wordmeasure
 from wordmeasure import solutions, surfaces, trace
 from wordmeasure.cli import canonical_dumps, main
 
@@ -140,6 +145,18 @@ class TestOtherCommands:
         assert len(obj["entries"]) == 3
         assert canonical_dumps(obj) == out.strip()
 
+    def test_wg_empty_partition(self, capsys):
+        # L = 0: one empty cycle type, an empty content product, value 1
+        code, out, _ = run(capsys, "wg", "--L", "0")
+        assert code == 0
+        assert out == "Weingarten table for L = 0\n  ()               1\n"
+        code, out, _ = run(capsys, "wg", "--L", "0", "--json")
+        assert code == 0
+        assert out == (
+            '{"L": 0, "entries": [{"cycle_type": [], "value": {"den": [[1, 1]], '
+            '"human": "1", "num": [[1, 1]]}}], "schema_version": "1"}\n'
+        )
+
     def test_scl(self, capsys):
         code, out, _ = run(capsys, "scl", "-w", "[x,y]", "--budget", "2")
         assert code == 0
@@ -187,6 +204,18 @@ class TestErrorsAndConfig:
         )
         assert code == 2
         assert "limit" in err
+
+    def test_incompressible_cap_names_the_visited_pairs(self, capsys):
+        code, out, err = run(
+            capsys, "incompressible", "-w", "[x,y]^3",
+            "--sigma", "1,2,3;1,2,3", "--tau", "2,1,3;1,2,3", "--pair-cap", "2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "limit exceeded: the incompressibility search visited 3 pairs, "
+            "past the cap 2\n"
+        )
 
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
@@ -262,3 +291,77 @@ def test_jobs_rejected_where_nothing_is_split(capsys, monkeypatch, argv):
     monkeypatch.setenv("WORDMEASURE_PARALLELISM", "abc")
     code, _, _ = run(capsys, *argv)
     assert code == 0
+
+
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this wordmeasure."""
+    src = os.path.dirname(os.path.dirname(wordmeasure.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "-w", "[x,y]^2"],
+        ["chi", "-w", "[x,y]^2"],
+        ["wg", "--L", "4"],
+        ["classes", "-w", "[x,y]^2"],
+        ["incompressible", "-w", "[x^2,y]", "--sigma", "2,1;1", "--tau", "2,1;1"],
+        ["scl", "-w", "[x,y]", "--budget", "2"],
+    ],
+    ids=["trace", "chi", "wg", "classes", "incompressible", "scl"],
+)
+def test_exact_subcommands_do_not_load_numpy(argv):
+    proc = run_fresh(f"""
+        import sys
+        import wordmeasure.cli
+        assert wordmeasure.cli.main({argv!r}) == 0
+        assert "numpy" not in sys.modules, "numpy loaded"
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_mc_loads_numpy_and_runs():
+    proc = run_fresh("""
+        import sys
+        import wordmeasure.cli
+        argv = ["verify-mc", "-w", "[x,y]", "--n", "3", "--samples", "2000", "--json"]
+        assert wordmeasure.cli.main(argv) == 0
+        assert "numpy" in sys.modules
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["within_4_sigma"] is True
+
+
+def test_package_serves_monte_carlo_names_on_first_use():
+    proc = run_fresh("""
+        import sys
+        import wordmeasure
+        assert "numpy" not in sys.modules
+        from wordmeasure import McEstimate, estimate, sample_haar
+        from wordmeasure import montecarlo
+        assert (McEstimate, estimate, sample_haar) == (
+            montecarlo.McEstimate, montecarlo.estimate, montecarlo.sample_haar
+        )
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_package_rejects_unknown_names():
+    proc = run_fresh("""
+        import sys
+        import wordmeasure
+        try:
+            wordmeasure.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise SystemExit("no AttributeError")
+        assert "numpy" not in sys.modules
+    """)
+    assert proc.returncode == 0, proc.stderr

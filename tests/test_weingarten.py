@@ -1,6 +1,15 @@
+import math
+from fractions import Fraction
+
 import pytest
 
-from wordmeasure.perm import all_permutations, partitions
+from wordmeasure.perm import (
+    all_permutations,
+    character,
+    content_polynomial,
+    dimension,
+    partitions,
+)
 from wordmeasure.ratfn import Polynomial, RationalFunction, rf
 from wordmeasure.weingarten import (
     moment,
@@ -21,6 +30,27 @@ PRINTED_VALUES = {
 }
 
 
+def wg_per_lambda(mu):
+    """Oracle: the character formula summed term by term.
+
+    Each lambda term dim(lambda) * chi_lambda(mu) / (L! * content_lambda)
+    is added as its own RationalFunction, so every addition reduces by a
+    polynomial gcd.  Slow, but it shares no common-denominator code with
+    ``wg``.
+    """
+    L = sum(mu)
+    lfact = math.factorial(L)
+    total = RationalFunction.zero()
+    for lam in partitions(L):
+        coef = dimension(lam) * character(lam, mu)
+        if coef == 0:
+            continue
+        total = total + RationalFunction(
+            Polynomial.constant(Fraction(coef, lfact)), content_polynomial(lam)
+        )
+    return total
+
+
 class TestCharacterFormula:
     def test_printed_values(self):
         for mu, expected in PRINTED_VALUES.items():
@@ -32,9 +62,34 @@ class TestCharacterFormula:
     def test_cache_returns_same_object(self):
         assert wg((2, 1)) is wg((2, 1))
 
+    @pytest.mark.parametrize("L", range(10))
+    def test_matches_per_lambda_sum(self, L):
+        table = wg_table(L)
+        assert list(table.entries) == list(partitions(L))
+        for mu in partitions(L):
+            expected = wg_per_lambda(mu)
+            assert table[mu] == expected
+            assert str(table[mu]) == str(expected)
+            assert table[mu].to_json_obj() == expected.to_json_obj()
+
+    def test_table_mutation_leaves_cache_intact(self):
+        before = wg((3, 1))
+        table = wg_table(4)
+        table.entries[(3, 1)] = RationalFunction.zero()
+        del table.entries[(4,)]
+        assert wg((3, 1)) is before
+        assert wg_table(4)[(3, 1)] == before
+        assert (4,) in wg_table(4).entries
+
+    def test_unsorted_and_invalid_cycle_types(self):
+        assert wg((1, 2)) is wg((2, 1))
+        assert wg(()) == RationalFunction.from_fraction(1)
+        with pytest.raises(ValueError):
+            wg((2, 0))
+
 
 class TestInversionOracle:
-    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
     def test_matches_character_formula(self, L):
         table = wg_inversion(L)
         for mu in partitions(L):
