@@ -44,7 +44,6 @@ from .surfaces import (
     diagonal_max_euler,
     enumerate_matchings,
     euler_char,
-    max_euler,
     occurrences,
     pair_statistics,
     z_disc_count,

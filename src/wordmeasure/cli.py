@@ -37,8 +37,6 @@ SCHEMA_VERSION = "1"
 SEED_ENV = "WORDMEASURE_SEED"
 JOBS_ENV = "WORDMEASURE_PARALLELISM"
 
-_INFER_RANK = 10**9
-
 
 @dataclass
 class RunConfig:
@@ -83,7 +81,7 @@ def _render_matching(m: Matching) -> str:
     return ";".join(parts) if parts else "-"
 
 
-def _parse_matching_arg(text: str, counts: tuple[int, ...]) -> Matching:
+def _parse_matching_arg(flag: str, text: str, counts: tuple[int, ...]) -> Matching:
     """Per-generator 1-based image vectors, generators separated by ';'.
 
     Example for [x,y]^2: ``2,1;1,2`` sends the first positive x to the
@@ -97,7 +95,12 @@ def _parse_matching_arg(text: str, counts: tuple[int, ...]) -> Matching:
         if not chunk:
             images = tuple(range(c))  # identity by default
         else:
-            images = tuple(int(v) - 1 for v in chunk.split(","))
+            try:
+                images = tuple(int(v) - 1 for v in chunk.split(","))
+            except ValueError:
+                raise ValueError(
+                    f"{flag} must list integers, got {chunk!r}"
+                ) from None
         out.append(images)
     return tuple(out)
 
@@ -111,7 +114,13 @@ def _read_words_file(path: str) -> tuple[list[str], int | None]:
             if not line:
                 continue
             if line.startswith("rank="):
-                rank = int(line[len("rank="):])
+                text = line[len("rank="):]
+                try:
+                    rank = int(text)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: the rank= header must be an integer, got {text!r}"
+                    ) from None
                 continue
             texts.append(line)
     return texts, rank
@@ -129,7 +138,7 @@ def _resolve_words(args) -> WordTuple:
     if rank is not None:
         words = tuple(parse(t, rank) for t in texts)
         return WordTuple(words, rank)
-    words = tuple(parse(t, _INFER_RANK) for t in texts)
+    words = tuple(parse(t, None) for t in texts)
     inferred = max((w.max_generator for w in words), default=1)
     return WordTuple(words, max(inferred, 1))
 
@@ -319,8 +328,8 @@ def cmd_incompressible(args) -> int:
     cfg = _config(args)
     t = cfg.words.cyclically_reduced()
     occ = occurrences(t)
-    sigma = occ.check_matching(_parse_matching_arg(args.sigma, occ.counts))
-    tau = occ.check_matching(_parse_matching_arg(args.tau, occ.counts))
+    sigma = occ.check_matching(_parse_matching_arg("--sigma", args.sigma, occ.counts))
+    tau = occ.check_matching(_parse_matching_arg("--tau", args.tau, occ.counts))
     chi = euler_char(occ, sigma, tau)
     verdict = is_incompressible(occ, sigma, tau, cap=cfg.pair_cap)
     lines = [
@@ -374,10 +383,15 @@ def cmd_wg(args) -> int:
 
 
 def cmd_verify_mc(args) -> int:
-    from .montecarlo import estimate  # the only subcommand that loads numpy
-
     cfg = _config(args)
     t = cfg.words
+    # estimate's own checks, made before the exact scan and the numpy import
+    if args.n < 1:
+        raise ValueError("dimension must be positive")
+    if args.samples < 1:
+        raise ValueError(f"sample count must be positive, got {args.samples}")
+    from .montecarlo import estimate  # the only subcommand that loads numpy
+
     result = trace_exact(t, cap=cfg.pair_cap)
     mc = estimate(t, args.n, args.samples, cfg.seed, jobs=cfg.jobs)
     lines = [

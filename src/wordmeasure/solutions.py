@@ -20,8 +20,8 @@ from .surfaces import (
     Matching,
     MatchingPair,
     OccurrenceTable,
-    PairCapExceeded,
-    _euler,
+    _cycle_lengths,
+    _level_set,
     _transposition_neighbours,
     euler_char,
     pair_statistics,
@@ -29,31 +29,11 @@ from .surfaces import (
 from .words import WordTuple
 
 
-def _composite_cycle_lengths(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Cycle lengths of a^-1 b acting on positive occurrences."""
-    inv = [0] * len(a)
-    for k, v in enumerate(a):
-        inv[v] = k
-    seen = [False] * len(a)
-    lengths = []
-    for start in range(len(a)):
-        if seen[start]:
-            continue
-        size = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            size += 1
-            k = inv[b[k]]
-        lengths.append(size)
-    return lengths
-
-
 def matching_dist(a: Matching, b: Matching) -> int:
     """Transposition distance between two matchings: ||a^-1 b||."""
     total = 0
     for pa, pb in zip(a, b):
-        total += len(pa) - len(_composite_cycle_lengths(pa, pb))
+        total += len(pa) - len(_cycle_lengths(pa, pb))
     return total
 
 
@@ -66,7 +46,7 @@ def pair_mobius_value(p: MatchingPair) -> int:
     for pa, pb in zip(p[0], p[1]):
         if pa:
             moeb *= mobius_of_cycle_type(
-                tuple(sorted(_composite_cycle_lengths(pa, pb), reverse=True))
+                tuple(sorted(_cycle_lengths(pa, pb), reverse=True))
             )
     return moeb
 
@@ -101,29 +81,7 @@ def is_incompressible(
     """
     sigma = occ.check_matching(sigma)
     tau = occ.check_matching(tau)
-    chi0 = euler_char(occ, sigma, tau)
-    start: MatchingPair = (sigma, tau)
-    seen = {start}
-    queue = deque([start])
-    partitions: dict = {}
-    while queue:
-        current = queue.popleft()
-        for nxt in _transposition_neighbours(current):
-            if nxt in seen:
-                continue
-            chi = _euler(occ, *nxt, partitions)
-            if chi > chi0:
-                return False
-            if chi == chi0:
-                seen.add(nxt)
-                if len(seen) > cap:
-                    raise PairCapExceeded(
-                        len(seen), cap,
-                        f"the incompressibility search visited {len(seen)} "
-                        f"pairs, past the cap {cap}",
-                    )
-                queue.append(nxt)
-    return True
+    return _level_set(occ, [(sigma, tau)], euler_char(occ, sigma, tau), cap) is not None
 
 
 @dataclass(frozen=True)
@@ -133,15 +91,6 @@ class PairPoset:
     elements: tuple[MatchingPair, ...]
     ranks: tuple[int, ...]
     below: tuple[frozenset[int], ...]   # strictly-smaller element indices
-
-    def covers(self, j: int) -> list[int]:
-        """Indices covered by element j (strictly below, no gap)."""
-        strict = self.below[j]
-        return [
-            i
-            for i in strict
-            if not any(i in self.below[k] for k in strict if k != i)
-        ]
 
 
 @dataclass(frozen=True)
@@ -405,34 +354,6 @@ def solution_classes(
             )
         )
     return out
-
-
-def bottom_layer_partition(pairs: list[MatchingPair]) -> list[tuple[MatchingPair, ...]]:
-    """Class partition using only rank-0 and rank-1 pairs.
-
-    Cross-check for the full computation: restricted to the bottom two
-    layers the comparability components must induce the same classes.
-    """
-    low = [p for p in pairs if pair_rank(p) <= 1]
-    m = len(low)
-    parent = list(range(m))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if pair_leq(low[i], low[j]) or pair_leq(low[j], low[i]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[MatchingPair]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(low[i])
-    return sorted(tuple(sorted(g)) for g in groups.values())
 
 
 def leading_via_classes(

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .perm import Partition, Permutation, mobius_of_cycle_type
+from .perm import Partition, Permutation
 from .words import Word, WordTuple, word_tuple
 
 DEFAULT_PAIR_CAP = 10**8
@@ -131,6 +132,47 @@ def enumerate_matchings(occ: OccurrenceTable) -> Iterator[Matching]:
         yield parts
 
 
+def _link(parent: list[int], sources, targets, images) -> int:
+    """Join sources[k] with targets[images[k]] for each k; return the merges.
+
+    The one union-find over letter junctions: every sigma, tau and pi
+    edge set of the scans goes through it, with path halving.
+    """
+    merges = 0
+    for a, v in zip(sources, images):
+        b = targets[v]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            merges += 1
+    return merges
+
+
+def _cycle_lengths(a, b) -> list[int]:
+    """Cycle lengths of a^-1 b, for image vectors a and b of one generator."""
+    inv = [0] * len(a)
+    for k, v in enumerate(a):
+        inv[v] = k
+    seen = [False] * len(a)
+    lengths = []
+    for start in range(len(a)):
+        if seen[start]:
+            continue
+        size = 0
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            size += 1
+            k = inv[b[k]]
+        lengths.append(size)
+    return lengths
+
+
 def _sigma_partition(occ: OccurrenceTable, sigma_parts) -> tuple[list[int], int]:
     """Union-find parents after the sigma edges alone, and the merge count.
 
@@ -140,20 +182,7 @@ def _sigma_partition(occ: OccurrenceTable, sigma_parts) -> tuple[list[int], int]
     parent = list(range(occ.num_letters))
     merges = 0
     for i, sp in zip(occ.active, sigma_parts):
-        pp = occ.pos_prev[i]
-        ng = occ.neg_ids[i]
-        for k, v in enumerate(sp):
-            a = pp[k]
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            b = ng[v]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a != b:
-                parent[a] = b
-                merges += 1
+        merges += _link(parent, occ.pos_prev[i], occ.neg_ids[i], sp)
     for v in range(len(parent)):
         r = v
         while parent[r] != r:
@@ -169,7 +198,8 @@ def _scan(
 
     The per-pair oracle: the differential tests fold it to check
     ``class_counts``, which sums one generator's tau out instead, and
-    ``pair_statistics``, which is read off ``class_counts``.
+    ``pair_statistics``, which is read off ``class_counts``; it is in
+    turn checked against ``block_count`` and ``cycle_types``.
     The parts tuples range over active generators only; use
     ``occ.expand`` to recover full matchings.  The sigma-side merges are
     frozen into a flattened parent array once per sigma and copied per
@@ -178,73 +208,35 @@ def _scan(
     total = occ.pair_count()
     if total > cap:
         raise PairCapExceeded(total, cap)
-    active = occ.active
-    n_act = len(active)
-    sizes = [occ.counts[i] for i in active]
-    pos_ids = [occ.pos_ids[i] for i in active]
-    neg_prev = [occ.neg_prev[i] for i in active]
-    perms = [list(itertools.permutations(range(c))) for c in sizes]
-    n_nodes = occ.num_letters
+    pos_ids = [occ.pos_ids[i] for i in occ.active]
+    neg_prev = [occ.neg_prev[i] for i in occ.active]
+    perms = [list(itertools.permutations(range(occ.counts[i]))) for i in occ.active]
 
     for sigma_parts in itertools.product(*perms):
         parent0, count0 = _sigma_partition(occ, sigma_parts)
-        sinv = []
-        for gi in range(n_act):
-            inv = [0] * sizes[gi]
-            for k, v in enumerate(sigma_parts[gi]):
-                inv[v] = k
-            sinv.append(inv)
-
         for tau_parts in itertools.product(*perms):
             parent = parent0.copy()
             merges = 0
-            for gi in range(n_act):
-                tp = tau_parts[gi]
-                po = pos_ids[gi]
-                np_ = neg_prev[gi]
-                for k in range(sizes[gi]):
-                    a = po[k]
-                    while parent[a] != a:
-                        parent[a] = parent[parent[a]]
-                        a = parent[a]
-                    b = np_[tp[k]]
-                    while parent[b] != b:
-                        parent[b] = parent[parent[b]]
-                        b = parent[b]
-                    if a != b:
-                        parent[a] = b
-                        merges += 1
-            blocks = n_nodes - count0 - merges
-            types = []
-            for gi in range(n_act):
-                inv = sinv[gi]
-                tp = tau_parts[gi]
-                seen = 0
-                lengths = []
-                for start in range(sizes[gi]):
-                    if seen >> start & 1:
-                        continue
-                    size = 0
-                    k = start
-                    while not seen >> k & 1:
-                        seen |= 1 << k
-                        size += 1
-                        k = inv[tp[k]]
-                    lengths.append(size)
-                types.append(tuple(sorted(lengths, reverse=True)))
+            for po, np_, tp in zip(pos_ids, neg_prev, tau_parts):
+                merges += _link(parent, po, np_, tp)
+            types = tuple(
+                tuple(sorted(_cycle_lengths(sp, tp), reverse=True))
+                for sp, tp in zip(sigma_parts, tau_parts)
+            )
             yield (
                 sigma_parts,
                 tau_parts,
-                blocks,
+                occ.num_letters - count0 - merges,
                 sum(map(len, types)),
-                tuple(types),
+                types,
             )
 
 
 def block_count(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
     """Blocks of the index partition induced by the pair.
 
-    Each occurrence carries an in-slot and an out-slot; the word
+    An independent oracle, with its own union-find, that the tests check
+    ``_scan`` against.  Each occurrence carries an in-slot and an out-slot; the word
     structure identifies out(t) with in(t+1) cyclically (collapsed here
     to one node per letter junction), sigma identifies in(m) with
     out(sigma(m)) and tau identifies out(m) with in(tau(m)).
@@ -276,7 +268,11 @@ def block_count(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
 def cycle_types(
     occ: OccurrenceTable, sigma: Matching, tau: Matching
 ) -> tuple[Partition, ...]:
-    """Cycle type of (sigma^-1 tau) restricted to E_i+, per active generator."""
+    """Cycle type of (sigma^-1 tau) restricted to E_i+, per active generator.
+
+    An independent oracle, with its own cycle walk, that the tests check
+    ``_scan`` against.
+    """
     sigma = occ.check_matching(sigma)
     tau = occ.check_matching(tau)
     out = []
@@ -325,39 +321,9 @@ def _euler(
     merges = frozen[1]
     cycles = 0
     for i in occ.active:
-        sp, tp = sigma[i], tau[i]
-        po, np_ = occ.pos_ids[i], occ.neg_prev[i]
-        inv = [0] * len(sp)
-        for k, v in enumerate(sp):
-            inv[v] = k
-            a = po[k]
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            b = np_[tp[k]]
-            while parent[b] != b:
-                parent[b] = parent[parent[b]]
-                b = parent[b]
-            if a != b:
-                parent[a] = b
-                merges += 1
-        seen = 0
-        for start in range(len(sp)):
-            if seen >> start & 1:
-                continue
-            cycles += 1
-            k = start
-            while not seen >> k & 1:
-                seen |= 1 << k
-                k = inv[tp[k]]
+        merges += _link(parent, occ.pos_ids[i], occ.neg_prev[i], tau[i])
+        cycles += len(_cycle_lengths(sigma[i], tau[i]))
     return cycles - merges + occ.num_empty
-
-
-def pair_mobius(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
-    """Mobius value of sigma^-1 tau (multiplicative over generators)."""
-    return math.prod(
-        mobius_of_cycle_type(ct) for ct in cycle_types(occ, sigma, tau)
-    )
 
 
 @dataclass(frozen=True)
@@ -413,28 +379,6 @@ def pair_statistics(
     )
 
 
-def max_euler(
-    t: WordTuple,
-    *,
-    cyclic_reduce: bool = True,
-    cap: int = DEFAULT_PAIR_CAP,
-    collect_argmax: bool = True,
-    jobs: int = 1,
-) -> PairScan:
-    """Maximum Euler characteristic over all matching pairs, with argmax set.
-
-    Returns the full scan statistics; ``ch`` is -inf for unbalanced
-    input rather than an error, mirroring the vanishing of the trace.
-    """
-    return pair_statistics(
-        t,
-        cyclic_reduce=cyclic_reduce,
-        cap=cap,
-        collect_argmax=collect_argmax,
-        jobs=jobs,
-    )
-
-
 def _transposition_neighbours(p: MatchingPair) -> list[MatchingPair]:
     """All pairs differing from p by one transposition in one coordinate.
 
@@ -453,6 +397,37 @@ def _transposition_neighbours(p: MatchingPair) -> list[MatchingPair]:
     return out
 
 
+def _level_set(
+    occ: OccurrenceTable, starts, chi: int, cap: int
+) -> set[MatchingPair] | None:
+    """The pairs of Euler characteristic chi reached from starts by transpositions.
+
+    A breadth-first search through single-transposition moves that stays
+    at chi; None as soon as some neighbour has a higher characteristic.
+    Raises PairCapExceeded once the set grows past ``cap``.
+    """
+    seen = set(starts)
+    queue = deque(seen)
+    partitions: dict = {}
+    while queue:
+        for nxt in _transposition_neighbours(queue.popleft()):
+            if nxt in seen:
+                continue
+            value = _euler(occ, *nxt, partitions)
+            if value > chi:
+                return None
+            if value == chi:
+                seen.add(nxt)
+                if len(seen) > cap:
+                    raise PairCapExceeded(
+                        len(seen), cap,
+                        f"the incompressibility search visited {len(seen)} "
+                        f"pairs, past the cap {cap}",
+                    )
+                queue.append(nxt)
+    return seen
+
+
 def _maximal_pairs(occ: OccurrenceTable, ch: int) -> list[MatchingPair]:
     """All pairs of Euler characteristic ch, sorted: a search from the diagonal.
 
@@ -462,19 +437,12 @@ def _maximal_pairs(occ: OccurrenceTable, ch: int) -> list[MatchingPair]:
     between the two.  Single transpositions that stay at ch therefore
     reach every maximal pair from the maximal diagonal ones.
     """
-    seen = set()
+    starts = []
     for parts, chi in _diagonal_scan(occ):
         if chi == ch:
             m = occ.expand(parts)
-            seen.add((m, m))
-    stack = list(seen)
-    partitions: dict = {}
-    while stack:
-        for nxt in _transposition_neighbours(stack.pop()):
-            if nxt not in seen and _euler(occ, *nxt, partitions) == ch:
-                seen.add(nxt)
-                stack.append(nxt)
-    return sorted(seen)
+            starts.append((m, m))
+    return sorted(_level_set(occ, starts, ch, occ.pair_count()))
 
 
 def _diagonal_scan(occ: OccurrenceTable) -> Iterator[tuple[tuple, int]]:
@@ -482,34 +450,20 @@ def _diagonal_scan(occ: OccurrenceTable) -> Iterator[tuple[tuple, int]]:
 
     The parts range over active generators, in ``_scan``'s sigma order.
     """
-    sizes = [occ.counts[i] for i in occ.active]
-    pos_ids = [occ.pos_ids[i] for i in occ.active]
-    pos_prev = [occ.pos_prev[i] for i in occ.active]
-    neg_ids = [occ.neg_ids[i] for i in occ.active]
-    neg_prev = [occ.neg_prev[i] for i in occ.active]
-    n_nodes = occ.num_letters
+    edges = [
+        (occ.pos_prev[i], occ.neg_ids[i], occ.pos_ids[i], occ.neg_prev[i])
+        for i in occ.active
+    ]
+    # chi(sigma, sigma) = B - L + #empty: all L z-discs are fixed points
+    shift = occ.num_empty - occ.L
     for parts in itertools.product(
-        *(itertools.permutations(range(c)) for c in sizes)
+        *(itertools.permutations(range(occ.counts[i])) for i in occ.active)
     ):
-        parent = list(range(n_nodes))
+        parent = list(range(occ.num_letters))
         merges = 0
-        for gi, sp in enumerate(parts):
-            for k in range(sizes[gi]):
-                for a, b in (
-                    (pos_prev[gi][k], neg_ids[gi][sp[k]]),
-                    (pos_ids[gi][k], neg_prev[gi][sp[k]]),
-                ):
-                    while parent[a] != a:
-                        parent[a] = parent[parent[a]]
-                        a = parent[a]
-                    while parent[b] != b:
-                        parent[b] = parent[parent[b]]
-                        b = parent[b]
-                    if a != b:
-                        parent[a] = b
-                        merges += 1
-        # chi(sigma, sigma) = B - L + #empty: all L z-discs are fixed points
-        yield parts, (n_nodes - merges) - occ.L + occ.num_empty
+        for (pp, ng, po, np_), sp in zip(edges, parts):
+            merges += _link(parent, pp, ng, sp) + _link(parent, po, np_, sp)
+        yield parts, occ.num_letters - merges + shift
 
 
 def diagonal_max_euler(
@@ -520,7 +474,7 @@ def diagonal_max_euler(
 ) -> int | float:
     """Max Euler characteristic over diagonal pairs (sigma, sigma) only.
 
-    Agrees with ``max_euler`` but costs |Match| instead of |Match|^2
+    Agrees with ``pair_statistics`` but costs |Match| instead of |Match|^2
     scans; used where only the maximum is needed.
     """
     if cyclic_reduce:
@@ -579,25 +533,14 @@ def _summed_scan(
         targets = [
             [neg_prev[gi][v] for v in sigma_parts[gi]] for gi in range(n_act)
         ]
-        edges = [(pos_ids[gi], targets[gi], sizes[gi]) for gi in rest]
+        edges = [(pos_ids[gi], targets[gi]) for gi in rest]
         ends = pos_ids[star] + tuple(targets[star])
 
         for pi_parts, pi_types in pis:
             parent = parent0.copy()
             merges = 0
-            for (po, tg, c), p in zip(edges, pi_parts):
-                for k in range(c):
-                    a = po[k]
-                    while parent[a] != a:
-                        parent[a] = parent[parent[a]]
-                        a = parent[a]
-                    b = tg[p[k]]
-                    while parent[b] != b:
-                        parent[b] = parent[parent[b]]
-                        b = parent[b]
-                    if a != b:
-                        parent[a] = b
-                        merges += 1
+            for (po, tg), p in zip(edges, pi_parts):
+                merges += _link(parent, po, tg, p)
             labels: dict[int, int] = {}
             pattern = []
             for v in ends:
@@ -614,19 +557,9 @@ def _summed_scan(
         hist = hist_of.get(pattern)
         if hist is None:
             hist = {}
+            sources, targets = pattern[:c_star], pattern[c_star:]
             for p, mu in zip(perms[star], types[star]):
-                parent = list(range(len(pattern)))
-                extra = 0
-                for k in range(c_star):
-                    a = pattern[k]
-                    while parent[a] != a:
-                        a = parent[a]
-                    b = pattern[c_star + p[k]]
-                    while parent[b] != b:
-                        b = parent[b]
-                    if a != b:
-                        parent[a] = b
-                        extra += 1
+                extra = _link(list(range(len(pattern))), sources, targets, p)
                 hist[mu, extra] = hist.get((mu, extra), 0) + 1
             hist_of[pattern] = hist
         for (mu, extra), m in hist.items():

@@ -71,10 +71,6 @@ def _zero_result(laurent_terms: int) -> TraceResult:
     )
 
 
-def _counts_key(t: WordTuple):
-    return tuple(tuple(w.letters) for w in t.words)
-
-
 def _leading_from_counts(occ: OccurrenceTable, counts: dict) -> LeadingTerm:
     """Order-ch term: ch is the largest chi, its coefficient the Mobius sum."""
     shift = occ.num_empty - occ.num_letters
@@ -195,23 +191,6 @@ def parity_report(
     ).parity_ok
 
 
-_ch_cache: dict[tuple, int] = {}
-
-
-def _ch_of_powers(w: Word, parts: tuple[int, ...], rank: int, cap: int) -> int:
-    t = WordTuple(tuple(w ** j for j in parts), rank).cyclically_reduced()
-    scan_size = occurrences(t).match_count()
-    if scan_size > cap:
-        raise PairCapExceeded(scan_size, cap)
-    key = _counts_key(t)
-    hit = _ch_cache.get(key)
-    if hit is None:
-        # diagonal pairs attain the maximum, so the cheap scan suffices
-        hit = diagonal_max_euler(t, cyclic_reduce=False, cap=cap)
-        _ch_cache[key] = hit
-    return hit
-
-
 def scl_upper_bound(
     w: Word,
     budget: int,
@@ -236,7 +215,10 @@ def scl_upper_bound(
     for total in range(1, budget + 1):
         for parts in partitions(total):
             try:
-                ch = _ch_of_powers(w, parts, t.rank, cap)
+                # diagonal pairs attain the maximum, so the cheap scan suffices
+                ch = diagonal_max_euler(
+                    WordTuple(tuple(w ** j for j in parts), t.rank), cap=cap
+                )
             except PairCapExceeded as exc:
                 skipped = exc
                 continue

@@ -180,7 +180,7 @@ class _Parser:
     letter  := 'x'|'y'|'z'|'t' | 'X'|'Y'|'Z'|'T' | ('x'|'X') digits
     """
 
-    def __init__(self, text: str, rank: int) -> None:
+    def __init__(self, text: str, rank: int | None) -> None:
         self.text = text
         self.rank = rank
         self.pos = 0
@@ -252,7 +252,7 @@ class _Parser:
                 raise self.error("generator index must be >= 1")
         else:
             gen = SYMBOLIC_GENERATORS.index(lower) + 1
-        if gen > self.rank:
+        if self.rank is not None and gen > self.rank:
             raise RankError(
                 f"generator index {gen} exceeds rank {self.rank} "
                 f"(at position {self.pos})"
@@ -271,12 +271,12 @@ class _Parser:
         return int(self.text[start:self.pos])
 
 
-def parse(text: str, rank: int) -> Word:
+def parse(text: str, rank: int | None) -> Word:
     """Parse ``text`` into the word it denotes, unreduced.
 
     Commutator brackets and integer powers are macros expanded at parse
     time; whitespace between terms is ignored.  Empty input denotes the
-    empty word.
+    empty word.  A rank of None accepts every generator index.
     """
     parser = _Parser(text, rank)
     word = parser.parse_word()

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from wordmeasure import parse_tuple
+
+# the same examples on every run: no random seed, no example database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 # the regression set: text, rank, exact trace (by display form where nonzero)
 GOLDEN = [

@@ -28,7 +28,6 @@ from wordmeasure.surfaces import (
     commutator_length,
     enumerate_matchings,
     euler_char,
-    max_euler,
     occurrences,
     pair_statistics,
 )
@@ -149,7 +148,7 @@ def test_criterion_07_cross_identities():
             elif not result.function.is_zero:
                 assert result.leading[0] <= lead.exponent - 2, text
             assert parity_report(t), text
-            scan = max_euler(t, collect_argmax=False)
+            scan = pair_statistics(t, collect_argmax=False)
             assert scan.diagonal_ch == scan.ch, text
 
 

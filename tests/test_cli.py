@@ -265,6 +265,43 @@ def test_invalid_values_are_usage_errors(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "0"], "error: dimension must be positive\n"),
+        (["--n", "3", "--samples", "0"], "error: sample count must be positive, got 0\n"),
+    ],
+    ids=["n-zero", "samples-zero"],
+)
+def test_verify_mc_rejects_before_the_scan(capsys, monkeypatch, flags, message):
+    def no_scan(*_, **__):
+        raise AssertionError("verify-mc scanned pairs")
+
+    monkeypatch.setattr(surfaces, "class_counts", no_scan)
+    monkeypatch.setattr(trace, "class_counts", no_scan)
+    code, out, err = run(capsys, "verify-mc", "-w", "[x,y]^4", *flags)
+    assert (code, out, err) == (1, "", message)
+
+
+def test_non_integer_rank_header_names_the_file(capsys, tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_text("rank=abc\n[x,y]\n")
+    code, out, err = run(capsys, "trace", "--words-file", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: the rank= header must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("flag", ["--sigma", "--tau"])
+def test_non_integer_matching_names_the_flag(capsys, flag):
+    values = {"--sigma": "", "--tau": ""} | {flag: "2,abc;1"}
+    code, out, err = run(
+        capsys, "incompressible", "-w", "[x^2,y]",
+        "--sigma", values["--sigma"], "--tau", values["--tau"],
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must list integers, got '2,abc'\n"
+
+
 def test_non_integer_jobs_env_is_named(capsys, monkeypatch):
     monkeypatch.setenv("WORDMEASURE_PARALLELISM", "abc")
     code, out, err = run(capsys, "chi", "-w", "[x,y]")

@@ -1,21 +1,25 @@
 import itertools
 import math
+import random
 
 import pytest
 
 from wordmeasure import surfaces
-from wordmeasure.solutions import pair_leq
+from wordmeasure.perm import Permutation
+from wordmeasure.solutions import is_incompressible, pair_leq
 from wordmeasure.surfaces import (
     OccurrenceTable,
     PairCapExceeded,
     UnbalancedError,
+    _cycle_lengths,
+    _level_set,
+    _link,
     block_count,
     commutator_length,
     cycle_types,
     diagonal_max_euler,
     enumerate_matchings,
     euler_char,
-    max_euler,
     occurrences,
     pair_statistics,
     z_disc_count,
@@ -119,30 +123,30 @@ class TestHistograms:
 
 class TestMaxEuler:
     def test_commutator(self):
-        assert max_euler(XY).ch == -1
+        assert pair_statistics(XY).ch == -1
 
     def test_two_commutators_all_achieve(self):
-        scan = max_euler(XYXZ)
+        scan = pair_statistics(XYXZ)
         assert scan.ch == -3
         assert len(scan.argmax) == 4
 
     def test_cube(self):
         t = parse_tuple(["[x,y]^3"], 2)
-        assert max_euler(t, collect_argmax=False).ch == -3
+        assert pair_statistics(t, collect_argmax=False).ch == -3
 
     def test_unbalanced_sentinel(self):
-        scan = max_euler(parse_tuple(["x"], 1))
+        scan = pair_statistics(parse_tuple(["x"], 1))
         assert scan.ch == float("-inf")
         assert not scan.balanced
 
     def test_empty_words_shift(self):
         # ch(w, 1) = ch(w) + 1
         with_empty = parse_tuple(["[x,y]", ""], 2)
-        assert max_euler(with_empty).ch == max_euler(XY).ch + 1
+        assert pair_statistics(with_empty).ch == pair_statistics(XY).ch + 1
 
     def test_diagonal_agrees(self, golden_tuples):
         for t in golden_tuples.values():
-            scan = max_euler(t, collect_argmax=False)
+            scan = pair_statistics(t, collect_argmax=False)
             assert scan.diagonal_ch == scan.ch
             assert diagonal_max_euler(t) == scan.ch
 
@@ -245,3 +249,54 @@ def test_matching_validation():
         occ.check_matching(((0, 0), (0, 1)))
     with pytest.raises(ValueError):
         occ.check_matching(((0, 1),))
+
+
+class TestPrimitives:
+    def test_cycle_lengths_match_permutation_cycle_type(self):
+        for L in range(5):
+            for a, b in itertools.product(itertools.permutations(range(L)), repeat=2):
+                expected = (Permutation(a).inverse() * Permutation(b)).cycle_type()
+                assert tuple(sorted(_cycle_lengths(a, b), reverse=True)) == expected
+
+    def test_link_merges_match_connected_components(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randrange(1, 12)
+            parent = list(range(n))
+            merges = 0
+            edges = []
+            for _ in range(rng.randrange(1, 4)):
+                k = rng.randrange(0, n + 1)
+                sources = [rng.randrange(n) for _ in range(k)]
+                targets = [rng.randrange(n) for _ in range(k)]
+                images = rng.sample(range(k), k)
+                merges += _link(parent, sources, targets, images)
+                edges += [(a, targets[v]) for a, v in zip(sources, images)]
+            # naive components: relabel until every edge joins equal labels
+            label = list(range(n))
+            changed = True
+            while changed:
+                changed = False
+                for a, b in edges:
+                    low = min(label[a], label[b])
+                    if label[a] != low or label[b] != low:
+                        label[a] = label[b] = low
+                        changed = True
+            assert merges == n - len(set(label))
+
+    def test_level_set_is_none_exactly_when_compressible(self, golden_tuples):
+        cases = []
+        for t in golden_tuples.values():
+            occ = occurrences(t)
+            scan = pair_statistics(t)
+            cases += [(occ, p, scan.ch) for p in scan.argmax]
+        occ = occurrences(XY2)
+        low = next(p for p in _all_pairs(occ) if euler_char(occ, *p) == -5)
+        cases.append((occ, low, -5))
+        verdicts = set()
+        for occ, p, chi in cases:
+            reached = _level_set(occ, [p], chi, occ.pair_count())
+            verdict = is_incompressible(occ, *p)
+            assert (reached is None) == (not verdict)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}

@@ -72,6 +72,9 @@ class TestParse:
         with pytest.raises(RankError):
             parse("x5", 4)
 
+    def test_no_rank_accepts_every_index(self):
+        assert parse("x12 t", None) == parse("x12 x4", 12)
+
 
 class TestReduce:
     def test_cancellation(self):
