@@ -30,7 +30,7 @@ from .surfaces import (
     pair_statistics,
 )
 from .trace import DEFAULT_LAURENT_TERMS, scl_upper_bound, trace_exact
-from .weingarten import WG_INVERSION_LIMIT, wg_table
+from .weingarten import wg_table
 from .words import RankError, Word, WordSyntaxError, WordTuple, parse
 
 SCHEMA_VERSION = "1"
@@ -277,7 +277,7 @@ def cmd_chi(args) -> int:
 def cmd_classes(args) -> int:
     cfg = _config(args)
     t = cfg.words
-    classes = solution_classes(t, cap=cfg.pair_cap, jobs=cfg.jobs)
+    classes = solution_classes(t, cap=cfg.pair_cap)
     lines = [f"words: {t}  (rank {t.rank})", f"solution classes: {len(classes)}"]
     cls_objs = []
     for k, cls in enumerate(classes):
@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chi)
 
     p = subs.add_parser("classes", help="solution classes and their invariants")
-    _add_word_options(p)
+    _add_word_options(p, jobs=False)
     p.set_defaults(func=cmd_classes)
 
     p = subs.add_parser("incompressible", help="check a user-supplied matching pair")
@@ -491,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("wg", help="dump a Weingarten table")
     p.add_argument("--L", type=int, required=True,
-                   help=f"order of the symmetric group (inversion oracle capped at {WG_INVERSION_LIMIT})")
+                   help="order of the symmetric group (values by the character formula)")
     p.add_argument("--json", action="store_true", help="emit a JSON object")
     p.set_defaults(func=cmd_wg)
 

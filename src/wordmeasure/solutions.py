@@ -20,11 +20,13 @@ from .surfaces import (
     Matching,
     MatchingPair,
     OccurrenceTable,
+    PairCapExceeded,
     _cycle_lengths,
     _level_set,
+    _maximal_components,
     _transposition_neighbours,
     euler_char,
-    pair_statistics,
+    occurrences,
 )
 from .words import WordTuple
 
@@ -55,7 +57,8 @@ def pair_leq(a: MatchingPair, b: MatchingPair) -> bool:
     """Whether a = (s', t') precedes b = (s, t) in the pair order.
 
     Holds exactly when ||s^-1 t|| = ||s^-1 s'|| + ||s'^-1 t'|| + ||t'^-1 t||,
-    i.e. some geodesic from s to t visits s' then t'.
+    i.e. some geodesic from s to t visits s' then t'.  A test oracle:
+    ``build_poset`` reaches the same order through covers.
     """
     sp, tp = a
     s, t = b
@@ -117,19 +120,35 @@ class OrderComplex:
         )
 
 
+def _bits(mask: int) -> frozenset[int]:
+    """The indices of the set bits of mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
 def build_poset(elements: list[MatchingPair]) -> PairPoset:
+    """The pair order on one solution class, closed up from its covers.
+
+    A pair's covers are its transposition neighbours one rank lower.
+    Every comparability between maximal pairs is a chain of covers
+    inside the class (the geodesic argument of ``_maximal_components``),
+    so OR-ing the covers' below-bitsets, in rank order, gives every
+    below-set.
+    """
     elements = sorted(elements)
-    m = len(elements)
-    below = [set() for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i != j and pair_leq(elements[i], elements[j]):
-                below[j].add(i)
-    return PairPoset(
-        tuple(elements),
-        tuple(pair_rank(p) for p in elements),
-        tuple(frozenset(s) for s in below),
-    )
+    index = {p: i for i, p in enumerate(elements)}
+    ranks = [pair_rank(p) for p in elements]
+    below = [0] * len(elements)
+    for j in sorted(range(len(elements)), key=ranks.__getitem__):
+        for q in _transposition_neighbours(elements[j]):
+            c = index.get(q)
+            if c is not None and ranks[c] < ranks[j]:
+                below[j] |= below[c] | 1 << c
+    return PairPoset(tuple(elements), tuple(ranks), tuple(map(_bits, below)))
 
 
 def order_complex(poset: PairPoset) -> OrderComplex:
@@ -297,11 +316,7 @@ class SolutionClass:
 
 
 def solution_classes(
-    t: WordTuple,
-    *,
-    cyclic_reduce: bool = True,
-    cap: int = DEFAULT_PAIR_CAP,
-    jobs: int = 1,
+    t: WordTuple, *, cap: int = DEFAULT_PAIR_CAP
 ) -> list[SolutionClass]:
     """Partition the maximal-Euler pairs into solution classes.
 
@@ -309,43 +324,24 @@ def solution_classes(
     inside the maximal-characteristic level set.  A comparable pair of
     maximal pairs is joined by a geodesic of single transpositions whose
     pairs are all maximal, so the classes are the components of the
-    transposition moves among the maximal pairs.  ``jobs`` splits the
-    class-count scan behind ``pair_statistics``.
+    transposition moves among the maximal pairs, one search each
+    (``_maximal_components``).  The cap applies to the full pair count.
     """
-    if cyclic_reduce:
-        t = t.cyclically_reduced()
+    t = t.cyclically_reduced()
     if not t.is_balanced():
         raise ValueError(f"word tuple {t} is not balanced")
-    scan = pair_statistics(t, cyclic_reduce=False, cap=cap, jobs=jobs)
-    pairs = scan.argmax
-    index = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, p in enumerate(pairs):
-        for q in _transposition_neighbours(p):
-            j = index.get(q)
-            if j is not None:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    components: dict[int, list[MatchingPair]] = {}
-    for i, p in enumerate(pairs):
-        components.setdefault(find(i), []).append(p)
-
+    occ = occurrences(t)
+    if occ.pair_count() > cap:
+        raise PairCapExceeded(occ.pair_count(), cap)
+    ch, components = _maximal_components(occ)
     out = []
-    for members in sorted(components.values()):
+    for members in components:
         poset = build_poset(members)
         complex_ = order_complex(poset)
         out.append(
             SolutionClass(
                 poset.elements,
-                scan.ch,
+                ch,
                 poset,
                 complex_,
                 complex_euler(complex_),
@@ -357,16 +353,13 @@ def solution_classes(
 
 
 def leading_via_classes(
-    t: WordTuple,
-    *,
-    cyclic_reduce: bool = True,
-    cap: int = DEFAULT_PAIR_CAP,
+    t: WordTuple, *, cap: int = DEFAULT_PAIR_CAP
 ) -> tuple[int, int]:
     """(ch, sum of class complex Euler characteristics).
 
     Must agree with the Mobius-sum leading term of the trace.
     """
-    classes = solution_classes(t, cyclic_reduce=cyclic_reduce, cap=cap)
+    classes = solution_classes(t, cap=cap)
     if not classes:
         raise ValueError("no solution classes (unbalanced input?)")
     return classes[0].chi, sum(c.complex_euler for c in classes)

@@ -98,9 +98,6 @@ class OccurrenceTable:
     def pair_count(self) -> int:
         return self.match_count() ** 2
 
-    def identity_matching(self) -> Matching:
-        return tuple(tuple(range(c)) for c in self.counts)
-
     def check_matching(self, m: Matching) -> Matching:
         m = tuple(tuple(part) for part in m)
         if len(m) != self.rank:
@@ -356,8 +353,8 @@ def pair_statistics(
     cycle counts + #empty - L, so the histogram, ch and the diagonal ch
     (classes whose types are all ones, since sigma^-1 tau = id exactly
     when sigma = tau) all come from ``class_counts``; ``jobs`` splits
-    that scan.  The argmax, only when collected, is a search inside the
-    ch level set (``_maximal_pairs``), sorted canonically.
+    that scan.  The argmax, only when collected, is the union of the
+    classes ``_maximal_components`` finds, sorted canonically.
     """
     if cyclic_reduce:
         t = t.cyclically_reduced()
@@ -373,7 +370,9 @@ def pair_statistics(
         if all(mu[0] == 1 for mu in types) and (diag is None or chi > diag):
             diag = chi
     ch = max(hist)
-    argmax = tuple(_maximal_pairs(occ, ch)) if collect_argmax else ()
+    argmax = ()
+    if collect_argmax:
+        argmax = tuple(sorted(itertools.chain(*_maximal_components(occ)[1])))
     return PairScan(
         True, ch, argmax, diag, hist, occ.match_count(), occ.pair_count()
     )
@@ -428,21 +427,36 @@ def _level_set(
     return seen
 
 
-def _maximal_pairs(occ: OccurrenceTable, ch: int) -> list[MatchingPair]:
-    """All pairs of Euler characteristic ch, sorted: a search from the diagonal.
+def _maximal_components(
+    occ: OccurrenceTable,
+) -> tuple[int, list[list[MatchingPair]]]:
+    """ch and the pairs at ch, split into components of transposition moves.
 
     chi never rises along the pair order and (sigma, sigma) precedes
-    (sigma, tau), so every pair at the maximum ch lies above a diagonal
-    pair at ch, and so does every pair on a transposition geodesic
-    between the two.  Single transpositions that stay at ch therefore
-    reach every maximal pair from the maximal diagonal ones.
+    (sigma, tau), so ch is the diagonal maximum, and every pair at ch
+    lies above a diagonal pair at ch, as does every pair on a
+    transposition geodesic between the two.  Single transpositions that
+    stay at ch therefore reach every maximal pair from the maximal
+    diagonal ones: one search from each diagonal seed not yet reached
+    finds one whole component.  Each component is sorted, and so is
+    their list.
     """
-    starts = []
+    ch = None
+    seeds: list[MatchingPair] = []
     for parts, chi in _diagonal_scan(occ):
+        if ch is None or chi > ch:
+            ch, seeds = chi, []
         if chi == ch:
             m = occ.expand(parts)
-            starts.append((m, m))
-    return sorted(_level_set(occ, starts, ch, occ.pair_count()))
+            seeds.append((m, m))
+    reached: set[MatchingPair] = set()
+    components = []
+    for seed in seeds:
+        if seed not in reached:
+            members = _level_set(occ, [seed], ch, occ.pair_count())
+            reached |= members
+            components.append(sorted(members))
+    return ch, sorted(components)
 
 
 def _diagonal_scan(occ: OccurrenceTable) -> Iterator[tuple[tuple, int]]:
@@ -466,19 +480,13 @@ def _diagonal_scan(occ: OccurrenceTable) -> Iterator[tuple[tuple, int]]:
         yield parts, occ.num_letters - merges + shift
 
 
-def diagonal_max_euler(
-    t: WordTuple,
-    *,
-    cyclic_reduce: bool = True,
-    cap: int = DEFAULT_PAIR_CAP,
-) -> int | float:
+def diagonal_max_euler(t: WordTuple, *, cap: int = DEFAULT_PAIR_CAP) -> int | float:
     """Max Euler characteristic over diagonal pairs (sigma, sigma) only.
 
     Agrees with ``pair_statistics`` but costs |Match| instead of |Match|^2
     scans; used where only the maximum is needed.
     """
-    if cyclic_reduce:
-        t = t.cyclically_reduced()
+    t = t.cyclically_reduced()
     if not t.is_balanced():
         return float("-inf")
     occ = occurrences(t)

@@ -154,20 +154,14 @@ def trace_exact(
     return _assemble(occ, class_counts(occ, cap=cap, jobs=jobs), laurent_terms)
 
 
-def trace_leading(
-    t: WordTuple,
-    *,
-    cyclic_reduce: bool = True,
-    cap: int = DEFAULT_PAIR_CAP,
-) -> LeadingTerm:
+def trace_leading(t: WordTuple, *, cap: int = DEFAULT_PAIR_CAP) -> LeadingTerm:
     """Order-ch term of the trace: exponent ch, coefficient the Mobius sum.
 
     When the coefficient vanishes the true leading exponent is at most
     ch - 2 and the result is flagged degenerate.  Needs the class counts
     but no Weingarten assembly.
     """
-    if cyclic_reduce:
-        t = t.cyclically_reduced()
+    t = t.cyclically_reduced()
     if not t.is_balanced():
         return _UNBALANCED_LEADING
     occ = occurrences(t)
@@ -177,7 +171,6 @@ def trace_leading(
 def parity_report(
     t: WordTuple,
     *,
-    cyclic_reduce: bool = True,
     cap: int = DEFAULT_PAIR_CAP,
     laurent_terms: int = DEFAULT_LAURENT_TERMS,
 ) -> bool:
@@ -186,9 +179,7 @@ def parity_report(
     Vacuously true for the zero function (in particular for unbalanced
     tuples).
     """
-    return trace_exact(
-        t, cyclic_reduce=cyclic_reduce, cap=cap, laurent_terms=laurent_terms
-    ).parity_ok
+    return trace_exact(t, cap=cap, laurent_terms=laurent_terms).parity_ok
 
 
 def scl_upper_bound(

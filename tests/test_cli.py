@@ -7,7 +7,7 @@ import textwrap
 import pytest
 
 import wordmeasure
-from wordmeasure import solutions, surfaces, trace
+from wordmeasure import surfaces, trace
 from wordmeasure.cli import canonical_dumps, main
 
 
@@ -114,22 +114,6 @@ class TestClasses:
         code, _, err = run(capsys, "classes", "-w", "x")
         assert code == 1
         assert "balanced" in err
-
-    def test_jobs_reach_the_scan(self, capsys, monkeypatch):
-        monkeypatch.setattr(surfaces, "PARALLEL_MIN_SCAN", 0)  # pool runs
-        jobs = []
-        original = solutions.pair_statistics
-
-        def recorded(*args, **kwargs):
-            jobs.append(kwargs["jobs"])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(solutions, "pair_statistics", recorded)
-        _, serial, _ = run(capsys, "classes", "-w", "[x,y]^2", "--json", "--jobs", "1")
-        code, parallel, _ = run(capsys, "classes", "-w", "[x,y]^2", "--json", "--jobs", "2")
-        assert code == 0
-        assert parallel == serial
-        assert jobs == [1, 2]
 
 
 class TestOtherCommands:
@@ -316,8 +300,9 @@ def test_non_integer_jobs_env_is_named(capsys, monkeypatch):
     [
         ["scl", "-w", "[x,y]", "--budget", "2"],
         ["incompressible", "-w", "[x^2,y]", "--sigma", "2,1;1", "--tau", "2,1;1"],
+        ["classes", "-w", "[x,y]"],
     ],
-    ids=["scl", "incompressible"],
+    ids=["scl", "incompressible", "classes"],
 )
 def test_jobs_rejected_where_nothing_is_split(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv, "--jobs", "2")

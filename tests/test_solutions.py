@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from wordmeasure import surfaces
 from wordmeasure.solutions import (
     build_poset,
     complex_euler,
@@ -15,13 +16,20 @@ from wordmeasure.solutions import (
     solution_classes,
 )
 from wordmeasure.surfaces import (
+    PairCapExceeded,
     enumerate_matchings,
     euler_char,
     occurrences,
     pair_statistics,
 )
 from wordmeasure.trace import trace_leading
-from wordmeasure.words import parse_tuple
+from wordmeasure.words import Letter, Word, WordTuple, parse_tuple
+
+
+@pytest.fixture(scope="module")
+def poset_tuples(golden_tuples):
+    """The golden set and [x^2,y^2]^2: 204 maximal pairs in six classes."""
+    return dict(golden_tuples) | {"[x^2,y^2]^2": parse_tuple(["[x^2,y^2]^2"], 2)}
 
 
 def classes_of(text, rank):
@@ -222,6 +230,83 @@ class TestCrossIdentities:
             assert bottom_layer_partition(
                 [p for cls in classes for p in cls.members]
             ) == expected
+
+
+class TestCoverRoute:
+    def test_below_sets_match_pairwise_oracle(self, poset_tuples):
+        for text, t in poset_tuples.items():
+            for cls in solution_classes(t):
+                poset = build_poset(list(reversed(cls.members)))
+                elements = poset.elements
+                assert elements == cls.members, text
+                expected = tuple(
+                    frozenset(
+                        i for i, a in enumerate(elements)
+                        if i != j and pair_leq(a, b)
+                    )
+                    for j, b in enumerate(elements)
+                )
+                assert poset.below == expected, text
+                assert poset.ranks == tuple(map(pair_rank, elements)), text
+
+    def test_classes_without_the_class_count_scan(self, golden_tuples, monkeypatch):
+        expected = {
+            text: [cls.members for cls in solution_classes(t)]
+            for text, t in golden_tuples.items()
+        }
+
+        def no_scan(*_, **__):
+            raise AssertionError("class-count scan started")
+
+        monkeypatch.setattr(surfaces, "class_counts", no_scan)
+        monkeypatch.setattr(surfaces, "_summed_scan", no_scan)
+        for text, t in golden_tuples.items():
+            assert [cls.members for cls in solution_classes(t)] == expected[text], text
+
+    def test_pair_cap_raised_before_any_work(self, monkeypatch):
+        def no_scan(*_):
+            raise AssertionError("diagonal scan started above the cap")
+
+        monkeypatch.setattr(surfaces, "_diagonal_scan", no_scan)
+        t = parse_tuple(["[x,y]^3"], 2)
+        total = occurrences(t).pair_count()
+        with pytest.raises(PairCapExceeded) as exc:
+            solution_classes(t, cap=total - 1)
+        assert (exc.value.needed, exc.value.cap) == (total, total - 1)
+
+
+def _swap_xy(w):
+    swap = {1: 2, 2: 1}
+    return Word(Letter(swap.get(g, g), s) for g, s in w)
+
+
+def _class_invariants(t):
+    """Per class: size, chi, Mobius sum, rank histogram, E, T and pi1 counts."""
+    return sorted(
+        (
+            cls.size,
+            cls.complex_euler,
+            cls.mobius_sum,
+            sorted(cls.rank_histogram().items()),
+            cls.complex.num_edges,
+            cls.complex.num_triangles,
+            cls.pi1.num_generators,
+            len(cls.pi1.relators),
+        )
+        for cls in solution_classes(t)
+    )
+
+
+@pytest.mark.parametrize(
+    "move",
+    [Word.inverse, _swap_xy],
+    ids=["inverse", "swap-xy"],
+)
+def test_class_invariants_are_invariant(poset_tuples, move):
+    for text, t in poset_tuples.items():
+        moved = WordTuple(tuple(move(w) for w in t.words), t.rank)
+        assert moved != t, text
+        assert _class_invariants(moved) == _class_invariants(t), text
 
 
 class TestComplexMachinery:
