@@ -16,6 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
+from .diagonal import _diagonal_search
 from .perm import Partition, Permutation
 from .words import Word, WordTuple, word_tuple
 
@@ -132,8 +133,9 @@ def enumerate_matchings(occ: OccurrenceTable) -> Iterator[Matching]:
 def _link(parent: list[int], sources, targets, images) -> int:
     """Join sources[k] with targets[images[k]] for each k; return the merges.
 
-    The one union-find over letter junctions: every sigma, tau and pi
-    edge set of the scans goes through it, with path halving.
+    The union-find over letter junctions that every sigma, tau and pi
+    edge set of the scans goes through, with path halving.  The diagonal
+    search takes edges back, so it uses ``diagonal._Junctions`` instead.
     """
     merges = 0
     for a, v in zip(sources, images):
@@ -441,14 +443,8 @@ def _maximal_components(
     finds one whole component.  Each component is sorted, and so is
     their list.
     """
-    ch = None
-    seeds: list[MatchingPair] = []
-    for parts, chi in _diagonal_scan(occ):
-        if ch is None or chi > ch:
-            ch, seeds = chi, []
-        if chi == ch:
-            m = occ.expand(parts)
-            seeds.append((m, m))
+    ch, found = _diagonal_search(occ, every=True)
+    seeds = [(m, m) for m in map(occ.expand, found)]
     reached: set[MatchingPair] = set()
     components = []
     for seed in seeds:
@@ -462,7 +458,9 @@ def _maximal_components(
 def _diagonal_scan(occ: OccurrenceTable) -> Iterator[tuple[tuple, int]]:
     """Yield (sigma_parts, chi(sigma, sigma)) for every matching sigma.
 
-    The parts range over active generators, in ``_scan``'s sigma order.
+    A test oracle for ``_diagonal_search``, one fresh union-find per
+    matching.  The parts range over active generators, in ``_scan``'s
+    sigma order.
     """
     edges = [
         (occ.pos_prev[i], occ.neg_ids[i], occ.pos_ids[i], occ.neg_prev[i])
@@ -480,19 +478,24 @@ def _diagonal_scan(occ: OccurrenceTable) -> Iterator[tuple[tuple, int]]:
         yield parts, occ.num_letters - merges + shift
 
 
-def diagonal_max_euler(t: WordTuple, *, cap: int = DEFAULT_PAIR_CAP) -> int | float:
+def diagonal_max_euler(
+    t: WordTuple, *, cap: int = DEFAULT_PAIR_CAP, above: int | None = None
+) -> int | float | None:
     """Max Euler characteristic over diagonal pairs (sigma, sigma) only.
 
-    Agrees with ``pair_statistics`` but costs |Match| instead of |Match|^2
-    scans; used where only the maximum is needed.
+    Agrees with ``pair_statistics``.  The branch and bound of
+    ``_diagonal_search`` visits at most the |Match| diagonal pairs, and
+    usually far fewer; used where only the maximum is needed.  With
+    ``above``, only a maximum greater than ``above`` is sought, and None
+    is returned when there is none.  The cap applies to |Match|.
     """
     t = t.cyclically_reduced()
     if not t.is_balanced():
-        return float("-inf")
+        return float("-inf") if above is None else None
     occ = occurrences(t)
     if occ.match_count() > cap:
         raise PairCapExceeded(occ.match_count(), cap)
-    return max(chi for _, chi in _diagonal_scan(occ))
+    return _diagonal_search(occ, above)[0]
 
 
 def _summed_scan(

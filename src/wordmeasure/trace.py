@@ -192,30 +192,34 @@ def scl_upper_bound(
     """Upper bound for the stable commutator length of w.
 
     Minimizes -ch(w^j1, ..., w^jl) / (2 sum j) over all power multisets
-    with total at most ``budget``; nonincreasing in the budget.  Tuples
-    whose enumeration exceeds the pair cap are skipped; if every tuple
-    is skipped, the cap error propagates.
+    with total at most ``budget``; nonincreasing in the budget.  Every
+    tuple of total j has prod((j c_i)!) matchings, with c_i the counts
+    of the cyclic core of w, so the search stops at the first total past
+    the cap: every later tuple would be skipped too.  If the first total
+    is past it, the cap error is raised.  A tuple only has to beat the
+    best bound so far, so ``diagonal_max_euler`` dismisses the others
+    early.
     """
     t = word_tuple([w], rank)
     if not t.is_balanced() or w.cyclic_reduce().is_empty:
         raise ValueError("scl bound requires a balanced, nontrivial word")
     if budget < 1:
         raise ValueError("budget must be positive")
+    counts = occurrences(t.cyclically_reduced()).counts
     best: Fraction | None = None
-    skipped: PairCapExceeded | None = None
     for total in range(1, budget + 1):
+        needed = math.prod(math.factorial(total * c) for c in counts)
+        if needed > cap:
+            if best is None:
+                raise PairCapExceeded(needed, cap)
+            break
         for parts in partitions(total):
-            try:
-                # diagonal pairs attain the maximum, so the cheap scan suffices
-                ch = diagonal_max_euler(
-                    WordTuple(tuple(w ** j for j in parts), t.rank), cap=cap
-                )
-            except PairCapExceeded as exc:
-                skipped = exc
-                continue
-            bound = Fraction(-ch, 2 * total)
-            if best is None or bound < best:
-                best = bound
-    if best is None:
-        raise skipped if skipped is not None else AssertionError
+            # diagonal pairs attain the maximum; -ch / (2 total) < best
+            # exactly when ch > floor(-2 total best)
+            above = None if best is None else math.floor(-2 * total * best)
+            ch = diagonal_max_euler(
+                WordTuple(tuple(w ** j for j in parts), t.rank), cap=cap, above=above
+            )
+            if ch is not None:
+                best = Fraction(-ch, 2 * total)
     return best

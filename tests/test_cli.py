@@ -17,6 +17,29 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+WORD_FORMS = {
+    "[x,y]": "x1 x2 X1 X2",
+    "[x^2,y]": "x1 x1 x2 X1 X1 X2",
+    "[x,y]^2": "x1 x2 X1 X2 x1 x2 X1 X2",
+    "[x,y]^3": "x1 x2 X1 X2 x1 x2 X1 X2 x1 x2 X1 X2",
+    "[x,y][x,z]": "x1 x2 X1 X2 x1 x3 X1 X3",
+    "[x,y][x^2y^2,z]": "x1 x2 X1 X2 x1 x1 x2 x2 x3 X2 X2 X1 X1 X3",
+    "[x,y][x,z][x,t]": "x1 x2 X1 X2 x1 x3 X1 X3 x1 x4 X1 X4",
+}
+
+# (word, rank, budget, bound) on the golden words
+SCL_GOLDEN = [
+    ("[x,y]", 2, 3, "1/2"),
+    ("[x^2,y]", 2, 3, "1/2"),
+    ("[x,y]^2", 2, 3, "1"),
+    ("[x,y]^3", 2, 3, "3/2"),
+    ("[x,y][x,z]", 3, 3, "1"),
+    ("[x,y][x^2y^2,z]", 3, 2, "5/4"),
+    ("[x,y][x^2y^2,z]", 3, 3, "5/4"),
+    ("[x,y][x,z][x,t]", 4, 2, "2"),
+]
+
+
 class TestTrace:
     def test_golden_output(self, capsys):
         code, out, _ = run(capsys, "trace", "-w", "[x,y]^2")
@@ -146,6 +169,22 @@ class TestOtherCommands:
         assert code == 0
         assert "1/2" in out
 
+    @pytest.mark.parametrize("text, rank, budget, bound", SCL_GOLDEN, ids=[
+        f"{text}-{budget}" for text, _, budget, _ in SCL_GOLDEN
+    ])
+    def test_scl_golden_bytes(self, capsys, text, rank, budget, bound):
+        # the bytes a full diagonal scan of every power tuple printed
+        word = WORD_FORMS[text]
+        argv = ["scl", "-w", text, "--rank", str(rank), "--budget", str(budget)]
+        assert run(capsys, *argv) == (0, f"scl({word}) <= {bound}  (budget {budget})\n", "")
+        num, _, den = bound.partition("/")
+        assert run(capsys, *argv, "--json") == (
+            0,
+            f'{{"bound": [{num}, {den or 1}], "budget": {budget}, "rank": {rank}, '
+            f'"schema_version": "1", "word": "{word}"}}\n',
+            "",
+        )
+
     def test_incompressible(self, capsys):
         code, out, _ = run(
             capsys, "incompressible", "-w", "[x^2,y]",
@@ -188,6 +227,14 @@ class TestErrorsAndConfig:
         )
         assert code == 2
         assert "limit" in err
+
+    def test_scl_cap_names_the_matchings_of_w(self, capsys):
+        # w itself has 2! 2! = 4 matchings; every later total has more
+        code, out, err = run(
+            capsys, "scl", "-w", "[x,y]^2", "--budget", "2", "--pair-cap", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "limit exceeded: enumeration of 4 matching pairs exceeds the cap 1\n"
 
     def test_incompressible_cap_names_the_visited_pairs(self, capsys):
         code, out, err = run(

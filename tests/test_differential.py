@@ -8,15 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordmeasure import surfaces
+from wordmeasure.diagonal import _diagonal_search
 from wordmeasure.ratfn import Polynomial, RationalFunction
 from wordmeasure.solutions import pair_leq, solution_classes
 from wordmeasure.surfaces import (
     PairCapExceeded,
     PairScan,
+    _diagonal_scan,
     _scan,
     block_count,
     class_counts,
     cycle_types,
+    diagonal_max_euler,
     enumerate_matchings,
     euler_char,
     occurrences,
@@ -25,7 +28,7 @@ from wordmeasure.surfaces import (
 )
 from wordmeasure.trace import trace_exact
 from wordmeasure.weingarten import wg
-from wordmeasure.words import Letter, Word, parse_tuple, word_tuple
+from wordmeasure.words import Letter, Word, WordTuple, parse_tuple, word_tuple
 
 
 def _random_balanced_tuples(count, seed):
@@ -253,3 +256,58 @@ def test_solution_classes_match_comparability_components(golden_tuples):
     for text, t in tuples.items():
         expected = _comparability_classes(pair_statistics(t).argmax)
         assert [cls.members for cls in solution_classes(t)] == expected, text
+
+
+def _assert_search_matches_oracle(t):
+    """Maximum, all maximal seeds and the ``above`` cut-off against the
+    full diagonal scan (the oracle)."""
+    occ = occurrences(t)
+    chis = list(_diagonal_scan(occ))
+    best = max(chi for _, chi in chis)
+    seeds = [parts for parts, chi in chis if chi == best]
+    assert _diagonal_search(occ) == (best, [])
+    assert _diagonal_search(occ, every=True) == (best, seeds)
+    for above in range(best - 3, best + 3):
+        expected = None if best <= above else best
+        assert _diagonal_search(occ, above) == (expected, []), above
+        maximal = [] if expected is None else seeds
+        assert _diagonal_search(occ, above, every=True) == (expected, maximal), above
+    if t.cyclically_reduced() == t:
+        assert diagonal_max_euler(t) == best
+        assert diagonal_max_euler(t, above=best - 1) == best
+        assert diagonal_max_euler(t, above=best) is None
+
+
+def _golden_powers(golden_tuples, max_matchings):
+    """The golden tuples with (w, w) and w^2 of each golden word, if small enough."""
+    out = dict(golden_tuples)
+    for text, t in golden_tuples.items():
+        w = t.words[0]
+        for name, words in ((f"({text}, {text})", (w, w)), (f"({text})^2", (w**2,))):
+            u = WordTuple(words, t.rank).cyclically_reduced()
+            if occurrences(u).match_count() <= max_matchings:
+                out[name] = u
+    return out
+
+
+def test_diagonal_search_matches_scan_on_golden_powers(golden_tuples):
+    # the largest here has 5,760 matchings; (w, w) and w^2 of [x,y]^3 and
+    # [x,y][x^2y^2,z] have 5e5-1e6 and take seconds each in the oracle
+    tuples = _golden_powers(golden_tuples, 10_000)
+    assert len(tuples) == 17
+    for text, t in tuples.items():
+        _assert_search_matches_oracle(t.cyclically_reduced())
+
+
+@settings(max_examples=150, deadline=None)
+@given(balanced_tuples(), st.booleans())
+@example(parse_tuple(["x X"], 1), False)  # a junction whose edge meets itself
+@example(parse_tuple(["", ""], 3), True)  # no letters: one empty matching
+@example(parse_tuple(["[x,y]^2", "YXyx", ""], 2), True)
+@example(parse_tuple(["[x,y]^2", "[x,y]"], 2), True)
+def test_diagonal_search_matches_scan_on_random_tuples(t, reduce):
+    if reduce:
+        t = t.cyclically_reduced()
+    if occurrences(t).match_count() > 5_000:
+        return
+    _assert_search_matches_oracle(t)

@@ -264,10 +264,11 @@ class TestCoverRoute:
             assert [cls.members for cls in solution_classes(t)] == expected[text], text
 
     def test_pair_cap_raised_before_any_work(self, monkeypatch):
-        def no_scan(*_):
-            raise AssertionError("diagonal scan started above the cap")
+        def no_scan(*_, **__):
+            raise AssertionError("diagonal work started above the cap")
 
         monkeypatch.setattr(surfaces, "_diagonal_scan", no_scan)
+        monkeypatch.setattr(surfaces, "_diagonal_search", no_scan)
         t = parse_tuple(["[x,y]^3"], 2)
         total = occurrences(t).pair_count()
         with pytest.raises(PairCapExceeded) as exc:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from wordmeasure import surfaces
+from wordmeasure.diagonal import _Junctions
 from wordmeasure.perm import Permutation
 from wordmeasure.solutions import is_incompressible, pair_leq
 from wordmeasure.surfaces import (
@@ -150,11 +151,19 @@ class TestMaxEuler:
             assert scan.diagonal_ch == scan.ch
             assert diagonal_max_euler(t) == scan.ch
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        def no_scan(*_, **__):
+            raise AssertionError("diagonal work started above the cap")
+
+        monkeypatch.setattr(surfaces, "_diagonal_scan", no_scan)
+        monkeypatch.setattr(surfaces, "_diagonal_search", no_scan)
         with pytest.raises(PairCapExceeded):
             pair_statistics(XY2, cap=10)
-        with pytest.raises(PairCapExceeded):
+        with pytest.raises(PairCapExceeded) as exc:
             diagonal_max_euler(XY2, cap=3)
+        assert (exc.value.needed, exc.value.cap) == (4, 3)
+        with pytest.raises(PairCapExceeded):
+            diagonal_max_euler(XY2, cap=3, above=-10)
 
 
 class TestCommutatorLength:
@@ -283,6 +292,66 @@ class TestPrimitives:
                         label[a] = label[b] = low
                         changed = True
             assert merges == n - len(set(label))
+
+    def test_junctions_track_open_ends_and_undo_exactly(self, golden_tuples):
+        # lay the diagonal edges of a random matching one by one, check the
+        # potential and the roots' sizes and free ends against a recount,
+        # then undo to random marks and compare with the snapshots there
+        rng = random.Random(11)
+        tuples = [*golden_tuples.values(), XY2, ANNULUS, parse_tuple(["[x,y]", "YX", "xy"], 2)]
+        for t in tuples * 4:
+            occ = occurrences(t.cyclically_reduced())
+            uf = _Junctions(occ)
+            half_edges = {(x, kind) for x, pair in enumerate(uf.ends) for kind in pair}
+            potential = -sum((p ^ q) == 1 for p, q in uf.ends)
+            laid, snapshots = [], []
+            slots = [(i, k) for i in occ.active for k in range(occ.counts[i])]
+            rng.shuffle(slots)
+            images = {i: rng.sample(range(c), c) for i, c in enumerate(occ.counts)}
+            for i, k in slots:
+                v = images[i][k]
+                # kinds 4i + 0..3: sigma source and target, tau source and target
+                for a, ka, b, kb in (
+                    (occ.pos_prev[i][k], 4 * i, occ.neg_ids[i][v], 4 * i + 1),
+                    (occ.pos_ids[i][k], 4 * i + 2, occ.neg_prev[i][v], 4 * i + 3),
+                ):
+                    snapshots.append((len(uf.log), list(uf.parent), list(uf.size), list(uf.ends)))
+                    potential += uf.join(a, ka, b, kb)
+                    laid.append(((a, ka), (b, kb)))
+                    assert potential == self._recount(occ, uf, half_edges, laid)
+            marks = rng.sample(range(len(snapshots)), min(3, len(snapshots)))
+            for index in sorted({0, *marks}, reverse=True):
+                mark, parent, size, ends = snapshots[index]
+                uf.undo(mark)
+                assert (uf.parent, uf.size, uf.ends) == (parent, size, ends)
+
+    @staticmethod
+    def _recount(occ, uf, half_edges, laid):
+        """2 * merges - closable open paths, and each root's ends, recounted."""
+        label = list(range(occ.num_letters))
+        changed = True
+        while changed:
+            changed = False
+            for (a, _), (b, _) in laid:
+                low = min(label[a], label[b])
+                if label[a] != low or label[b] != low:
+                    label[a] = label[b] = low
+                    changed = True
+        used = {end for edge in laid for end in edge}
+        free = {}
+        for x, kind in half_edges - used:
+            free.setdefault(label[x], []).append(kind)
+        for x in range(occ.num_letters):
+            root = x
+            while uf.parent[root] != root:
+                root = uf.parent[root]
+            members = sum(1 for y in range(occ.num_letters) if label[y] == label[x])
+            assert uf.size[root] == members
+            if x == root and label[x] in free:
+                assert sorted(uf.ends[root]) == sorted(free[label[x]])
+        merges = occ.num_letters - len(set(label))
+        closable = sum(1 for kinds in free.values() if (kinds[0] ^ kinds[1]) == 1)
+        return 2 * merges - closable
 
     def test_level_set_is_none_exactly_when_compressible(self, golden_tuples):
         cases = []

@@ -1,16 +1,29 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wordmeasure import trace
+from wordmeasure.perm import partitions
 from wordmeasure.ratfn import RationalFunction, rf
-from wordmeasure.surfaces import PairCapExceeded
+from wordmeasure.surfaces import PairCapExceeded, _diagonal_scan, occurrences
 from wordmeasure.trace import (
     parity_report,
     scl_upper_bound,
     trace_exact,
     trace_leading,
 )
-from wordmeasure.words import parse, parse_tuple, word_tuple
+from wordmeasure.words import (
+    Letter,
+    Word,
+    WordTuple,
+    commutator,
+    parse,
+    parse_tuple,
+    word_tuple,
+)
 
 GOLDEN_FUNCTIONS = {
     "[x,y]": rf((1,), (0, 1)),
@@ -173,3 +186,126 @@ class TestSclBound:
         # cap small enough to kill every tuple
         with pytest.raises(PairCapExceeded):
             scl_upper_bound(w, 2, cap=0)
+
+    def test_cap_admits_a_total_at_exactly_its_count(self):
+        # the tuples of total 2 of [x,y]^2 have (4!)^2 = 576 matchings
+        w = parse("[x,y]^2", 2)
+        assert scl_upper_bound(w, 2, cap=576) == 1
+        assert scl_upper_bound(w, 2, cap=575) == Fraction(3, 2)
+
+    def test_huge_budget_stops_at_the_cap(self, monkeypatch):
+        # a tuple of total j has (j!)^2 matchings, past the cap 10^8 from j = 8
+        totals = []
+        search = trace.diagonal_max_euler
+
+        def counted(t, **kwargs):
+            total = sum(map(len, t.words)) // 4
+            assert total < 8, "a tuple past the cap was searched"
+            totals.append(total)
+            return search(t, **kwargs)
+
+        monkeypatch.setattr(trace, "diagonal_max_euler", counted)
+        start = time.perf_counter()
+        assert scl_upper_bound(parse("[x,y]", 2), 10**12) == Fraction(1, 2)
+        assert time.perf_counter() - start < 30
+        assert totals == [j for j in range(1, 8) for _ in partitions(j)]
+
+
+# the cap keeps every tuple below 10^6 matchings; each property below
+# holds for any cap, since a tuple's count depends on its total alone
+PROPERTY_CAP = 10**6
+
+
+def _commutator_products(draw, rank):
+    """A product of one or two commutators of short random words."""
+    letter = st.builds(Letter, st.integers(1, rank), st.sampled_from((1, -1)))
+    short = st.lists(letter, min_size=1, max_size=2).map(Word)
+    w = Word()
+    for _ in range(draw(st.integers(1, 2))):
+        w = w * commutator(draw(short), draw(short))
+    return w
+
+
+def _assert_scl_properties(w, rank):
+    """Necessary properties of the bound, for w nontrivial in [F, F]."""
+    bounds = [scl_upper_bound(w, b, rank=rank, cap=PROPERTY_CAP) for b in (1, 2, 3, 4)]
+    # nonincreasing in the budget
+    assert bounds == sorted(bounds, reverse=True)
+    # scl >= 1/2 on [F, F] (Duncan-Howie, Math. Z. 1991)
+    assert bounds[-1] >= Fraction(1, 2)
+    # each power tuple of w^k is one of w with k times the total
+    for k, budget in ((2, 1), (2, 2), (3, 1)):
+        try:
+            power = scl_upper_bound(w**k, budget, rank=rank, cap=PROPERTY_CAP)
+        except PairCapExceeded:  # w^k itself is past the cap
+            continue
+        assert power >= k * bounds[k * budget - 1]
+
+
+class TestSclProperties:
+    def test_golden_words(self, golden_tuples):
+        for text, t in golden_tuples.items():
+            _assert_scl_properties(t.words[0], t.rank)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_commutator_products(self, data):
+        rank = data.draw(st.integers(2, 3))
+        w = _commutator_products(data.draw, rank)
+        if w.cyclic_reduce().is_empty:
+            return
+        _assert_scl_properties(w, rank)
+
+
+def _oracle_scl(w, budget, rank, cap):
+    """min -ch / (2 total) over the power tuples within the cap (the oracle).
+
+    Every tuple is scanned in full by ``_diagonal_scan``, with no bound;
+    tuples past the cap are skipped, as ``scl_upper_bound`` skips them.
+    """
+    best = None
+    for total in range(1, budget + 1):
+        for parts in partitions(total):
+            t = WordTuple(tuple(w**j for j in parts), rank).cyclically_reduced()
+            occ = occurrences(t)
+            if occ.match_count() > cap:
+                continue
+            bound = Fraction(-max(chi for _, chi in _diagonal_scan(occ)), 2 * total)
+            if best is None or bound < best:
+                best = bound
+    return best
+
+
+# budgets and caps keep the oracle to 10^4 matchings per tuple
+SCL_CASES = [
+    ("[x,y]", 2, 4),
+    ("[x^2,y]", 2, 3),
+    ("[x,y]^2", 2, 2),
+    ("[x,y][x,z]", 3, 2),
+    ("[x,y][x^2y^2,z]", 3, 1),
+    ("[x,y][x,z][x,t]", 4, 2),
+    ("[x^2,y^3]", 2, 2),
+]
+
+
+@pytest.mark.parametrize("text, rank, budget", SCL_CASES, ids=[c[0] for c in SCL_CASES])
+def test_scl_bound_matches_scan_oracle(text, rank, budget):
+    w = parse(text, rank)
+    expected = _oracle_scl(w, budget, rank, 10**4)
+    assert scl_upper_bound(w, budget, rank=rank, cap=10**4) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scl_bound_matches_scan_oracle_on_random_commutators(data):
+    rank = data.draw(st.integers(2, 3))
+    w = _commutator_products(data.draw, rank)
+    if w.cyclic_reduce().is_empty:
+        return
+    cap = 2_000
+    expected = _oracle_scl(w, 3, rank, cap)
+    if expected is None:  # even w itself is past the cap
+        with pytest.raises(PairCapExceeded):
+            scl_upper_bound(w, 3, rank=rank, cap=cap)
+    else:
+        assert scl_upper_bound(w, 3, rank=rank, cap=cap) == expected
