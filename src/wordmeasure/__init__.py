@@ -10,7 +10,6 @@ and stabilizer presentations.
 from .perm import (
     Permutation,
     character,
-    content_polynomial,
     dimension,
     leq,
     mobius,
@@ -25,10 +24,8 @@ from .solutions import (
     SolutionClass,
     complex_euler,
     is_incompressible,
-    leading_via_classes,
     mobius_sum,
     order_complex,
-    pair_leq,
     pi1_presentation,
     solution_classes,
 )
@@ -39,14 +36,11 @@ from .surfaces import (
     OccurrenceTable,
     PairCapExceeded,
     UnbalancedError,
-    block_count,
     commutator_length,
     diagonal_max_euler,
-    enumerate_matchings,
     euler_char,
     occurrences,
     pair_statistics,
-    z_disc_count,
 )
 from .trace import (
     LeadingTerm,
@@ -60,8 +54,6 @@ from .weingarten import (
     WeingartenTable,
     moment,
     wg,
-    wg_inversion,
-    wg_leading,
     wg_table,
 )
 from .words import (

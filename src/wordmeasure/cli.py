@@ -86,9 +86,15 @@ def _parse_matching_arg(flag: str, text: str, counts: tuple[int, ...]) -> Matchi
 
     Example for [x,y]^2: ``2,1;1,2`` sends the first positive x to the
     second negative x, and so on; generators with no occurrences may be
-    omitted or left empty.
+    omitted or left empty, and a non-empty segment past the rank is an
+    error.
     """
     chunks = text.split(";") if text.strip() else []
+    extra = [chunk.strip() for chunk in chunks[len(counts):] if chunk.strip()]
+    if extra:
+        raise ValueError(
+            f"{flag} has a segment past the rank {len(counts)}, got {extra[0]!r}"
+        )
     out = []
     for i, c in enumerate(counts):
         chunk = chunks[i].strip() if i < len(chunks) else ""
@@ -435,11 +441,10 @@ def cmd_verify_mc(args) -> int:
     return 0
 
 
-def _add_word_options(sub, *, multi_word: bool = True, jobs: bool = True) -> None:
+def _add_word_options(sub, *, jobs: bool = True) -> None:
     sub.add_argument(
         "-w", "--word", action="append", metavar="WORD",
-        help="word in the grammar, e.g. \"[x,y]^2\" (repeatable)" if multi_word
-        else "word in the grammar",
+        help="word in the grammar, e.g. \"[x,y]^2\" (repeatable)",
     )
     sub.add_argument("--words-file", metavar="PATH",
                      help="file with one word per line, # comments, optional rank= header")

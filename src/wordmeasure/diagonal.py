@@ -107,7 +107,7 @@ def _diagonal_search(
 
     With ``every``, a prefix is pruned only above the best count, and
     the parts of every sigma at the maximum are returned too, in
-    ``_scan``'s sigma order; the parts range over active generators.
+    lexicographic order; the parts range over active generators.
     """
     shift = occ.num_letters + occ.num_empty - occ.L
     slots = [

@@ -61,7 +61,7 @@ def _word_traces(word, unitaries: np.ndarray) -> np.ndarray:
 
 
 def _accumulate_samples(
-    t: WordTuple, n: int, samples: int, rng: np.random.Generator, batch: int
+    t: WordTuple, n: int, samples: int, rng: np.random.Generator
 ) -> tuple[complex, float, float]:
     """(sum, sum of squared real parts, sum of squared imaginary parts)."""
     r = max(t.rank, 1)
@@ -70,7 +70,7 @@ def _accumulate_samples(
     sum_sq_im = 0.0
     done = 0
     while done < samples:
-        size = min(batch, samples - done)
+        size = min(DEFAULT_BATCH, samples - done)
         unitaries = np.stack([_haar_batch(n, size, rng) for _ in range(r)])
         prod = np.ones(size, dtype=complex)
         for word in t.words:
@@ -83,12 +83,12 @@ def _accumulate_samples(
 
 
 def _chunk_worker(args) -> tuple[complex, float, float]:
-    letters, rank, n, samples, entropy, batch = args
+    letters, rank, n, samples, entropy = args
     from .words import Word
 
     t = WordTuple(tuple(Word(w) for w in letters), rank)
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
-    return _accumulate_samples(t, n, samples, rng, batch)
+    return _accumulate_samples(t, n, samples, rng)
 
 
 def estimate(
@@ -97,7 +97,6 @@ def estimate(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     *,
-    batch: int = DEFAULT_BATCH,
     jobs: int = 1,
 ) -> McEstimate:
     """Estimate the expected product of traces at dimension n.
@@ -122,7 +121,7 @@ def estimate(
         children = np.random.SeedSequence(seed).spawn(jobs)
         bounds = [samples * k // jobs for k in range(jobs + 1)]
         tasks = [
-            (letters, t.rank, n, bounds[k + 1] - bounds[k], children[k].entropy, batch)
+            (letters, t.rank, n, bounds[k + 1] - bounds[k], children[k].entropy)
             for k in range(jobs)
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -132,7 +131,7 @@ def estimate(
         sum_sq_im = sum(p[2] for p in parts)
     else:
         rng = np.random.default_rng(seed)
-        total, sum_sq_re, sum_sq_im = _accumulate_samples(t, n, samples, rng, batch)
+        total, sum_sq_re, sum_sq_im = _accumulate_samples(t, n, samples, rng)
     mean = total / samples
     var_re = sum_sq_re / samples - mean.real**2
     var_im = sum_sq_im / samples - mean.imag**2

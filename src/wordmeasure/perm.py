@@ -8,14 +8,11 @@ which is exactly the leading coefficient of the Weingarten function.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import Iterator
 
 Partition = tuple[int, ...]
-
-from .ratfn import Polynomial
 
 
 class Permutation:
@@ -96,11 +93,6 @@ class Permutation:
         return f"Permutation[{cyc}]"
 
 
-def all_permutations(L: int) -> Iterator[Permutation]:
-    for images in itertools.permutations(range(L)):
-        yield Permutation(images)
-
-
 def norm(p: Permutation) -> int:
     """Minimal number of transpositions producing p: L - #cycles."""
     return p.size - p.num_cycles()
@@ -154,16 +146,6 @@ def check_partition(p: Partition) -> Partition:
     return p
 
 
-def conjugacy_class_size(mu: Partition) -> int:
-    """Number of permutations in S_L with cycle type mu."""
-    L = sum(mu)
-    z = 1
-    for part, count in itertools.groupby(mu):
-        k = len(list(count))
-        z *= part ** k * math.factorial(k)
-    return math.factorial(L) // z
-
-
 def hook_lengths(lam: Partition) -> list[int]:
     cols = [0] * (lam[0] if lam else 0)
     for row in lam:
@@ -181,16 +163,6 @@ def dimension(lam: Partition) -> int:
     lam = check_partition(lam)
     L = sum(lam)
     return math.factorial(L) // math.prod(hook_lengths(lam))
-
-
-def content_polynomial(lam: Partition) -> Polynomial:
-    """Product of (n + j - i) over the cells (i, j) of the diagram."""
-    lam = check_partition(lam)
-    poly = Polynomial((1,))
-    for i, row in enumerate(lam):
-        for j in range(row):
-            poly = poly * Polynomial((j - i, 1))
-    return poly
 
 
 def character(lam: Partition, mu: Partition) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class PoleError(ZeroDivisionError):
@@ -325,12 +325,6 @@ class RationalFunction:
             raise PoleError(f"pole at n = {n0}")
         return self.num.evaluate(n0) / d
 
-    def degree_at_infinity(self) -> int | None:
-        """deg(num) - deg(den); None for the zero function."""
-        if self.is_zero:
-            return None
-        return self.num.degree - self.den.degree
-
     def laurent_at_infinity(self, terms: int) -> LaurentSeries:
         """Expansion in descending powers of n, exact to ``terms`` terms."""
         if terms < 1:
@@ -363,14 +357,3 @@ class RationalFunction:
             "num": [[c.numerator, c.denominator] for c in self.num.coeffs],
             "den": [[c.numerator, c.denominator] for c in self.den.coeffs],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "RationalFunction":
-        num = Polynomial(Fraction(p, q) for p, q in obj["num"])
-        den = Polynomial(Fraction(p, q) for p, q in obj["den"])
-        return cls(num, den)
-
-
-def rf(num: Sequence[Fraction | int], den: Sequence[Fraction | int] = (1,)) -> RationalFunction:
-    """Shorthand constructor from coefficient lists (index = degree)."""
-    return RationalFunction(Polynomial(num), Polynomial(den))

@@ -53,20 +53,6 @@ def pair_mobius_value(p: MatchingPair) -> int:
     return moeb
 
 
-def pair_leq(a: MatchingPair, b: MatchingPair) -> bool:
-    """Whether a = (s', t') precedes b = (s, t) in the pair order.
-
-    Holds exactly when ||s^-1 t|| = ||s^-1 s'|| + ||s'^-1 t'|| + ||t'^-1 t||,
-    i.e. some geodesic from s to t visits s' then t'.  A test oracle:
-    ``build_poset`` reaches the same order through covers.
-    """
-    sp, tp = a
-    s, t = b
-    return matching_dist(s, t) == (
-        matching_dist(s, sp) + matching_dist(sp, tp) + matching_dist(tp, t)
-    )
-
-
 def is_incompressible(
     occ: OccurrenceTable,
     sigma: Matching,
@@ -350,16 +336,3 @@ def solution_classes(
             )
         )
     return out
-
-
-def leading_via_classes(
-    t: WordTuple, *, cap: int = DEFAULT_PAIR_CAP
-) -> tuple[int, int]:
-    """(ch, sum of class complex Euler characteristics).
-
-    Must agree with the Mobius-sum leading term of the trace.
-    """
-    classes = solution_classes(t, cap=cap)
-    if not classes:
-        raise ValueError("no solution classes (unbalanced input?)")
-    return classes[0].chi, sum(c.complex_euler for c in classes)

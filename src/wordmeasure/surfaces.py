@@ -14,7 +14,6 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
 
 from .diagonal import _diagonal_search
 from .perm import Partition, Permutation
@@ -54,7 +53,7 @@ class OccurrenceTable:
     """
 
     __slots__ = (
-        "rank", "num_words", "num_empty", "positions", "prev",
+        "rank", "num_words", "num_empty", "prev",
         "pos_ids", "neg_ids", "pos_prev", "neg_prev",
         "counts", "L", "num_letters", "active",
     )
@@ -65,20 +64,17 @@ class OccurrenceTable:
         self.rank = t.rank
         self.num_words = len(t.words)
         self.num_empty = sum(1 for w in t.words if w.is_empty)
-        positions: list[tuple[int, int]] = []
         prev: list[int] = []
         pos_ids: list[list[int]] = [[] for _ in range(t.rank)]
         neg_ids: list[list[int]] = [[] for _ in range(t.rank)]
         gid = 0
-        for wi, w in enumerate(t.words):
+        for w in t.words:
             base = gid
             k = len(w)
             for li, let in enumerate(w.letters):
-                positions.append((wi, li))
                 prev.append(base + (li - 1) % k)
                 (pos_ids if let.sign > 0 else neg_ids)[let.gen - 1].append(gid)
                 gid += 1
-        self.positions = tuple(positions)
         self.prev = tuple(prev)
         self.pos_ids = tuple(tuple(v) for v in pos_ids)
         self.neg_ids = tuple(tuple(v) for v in neg_ids)
@@ -120,14 +116,6 @@ class OccurrenceTable:
 
 def occurrences(t: WordTuple) -> OccurrenceTable:
     return OccurrenceTable(t)
-
-
-def enumerate_matchings(occ: OccurrenceTable) -> Iterator[Matching]:
-    """All color-preserving bijections, in a fixed lexicographic order."""
-    for parts in itertools.product(
-        *(itertools.permutations(range(c)) for c in occ.counts)
-    ):
-        yield parts
 
 
 def _link(parent: list[int], sources, targets, images) -> int:
@@ -188,115 +176,6 @@ def _sigma_partition(occ: OccurrenceTable, sigma_parts) -> tuple[list[int], int]
             r = parent[r]
         parent[v] = r
     return parent, merges
-
-
-def _scan(
-    occ: OccurrenceTable, cap: int
-) -> Iterator[tuple[tuple, tuple, int, int, tuple[Partition, ...]]]:
-    """Yield (sigma_parts, tau_parts, blocks, z_discs, cycle_types) per pair.
-
-    The per-pair oracle: the differential tests fold it to check
-    ``class_counts``, which sums one generator's tau out instead, and
-    ``pair_statistics``, which is read off ``class_counts``; it is in
-    turn checked against ``block_count`` and ``cycle_types``.
-    The parts tuples range over active generators only; use
-    ``occ.expand`` to recover full matchings.  The sigma-side merges are
-    frozen into a flattened parent array once per sigma and copied per
-    tau, so the inner loop does only the tau unions and cycle walks.
-    """
-    total = occ.pair_count()
-    if total > cap:
-        raise PairCapExceeded(total, cap)
-    pos_ids = [occ.pos_ids[i] for i in occ.active]
-    neg_prev = [occ.neg_prev[i] for i in occ.active]
-    perms = [list(itertools.permutations(range(occ.counts[i]))) for i in occ.active]
-
-    for sigma_parts in itertools.product(*perms):
-        parent0, count0 = _sigma_partition(occ, sigma_parts)
-        for tau_parts in itertools.product(*perms):
-            parent = parent0.copy()
-            merges = 0
-            for po, np_, tp in zip(pos_ids, neg_prev, tau_parts):
-                merges += _link(parent, po, np_, tp)
-            types = tuple(
-                tuple(sorted(_cycle_lengths(sp, tp), reverse=True))
-                for sp, tp in zip(sigma_parts, tau_parts)
-            )
-            yield (
-                sigma_parts,
-                tau_parts,
-                occ.num_letters - count0 - merges,
-                sum(map(len, types)),
-                types,
-            )
-
-
-def block_count(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
-    """Blocks of the index partition induced by the pair.
-
-    An independent oracle, with its own union-find, that the tests check
-    ``_scan`` against.  Each occurrence carries an in-slot and an out-slot; the word
-    structure identifies out(t) with in(t+1) cyclically (collapsed here
-    to one node per letter junction), sigma identifies in(m) with
-    out(sigma(m)) and tau identifies out(m) with in(tau(m)).
-    """
-    sigma = occ.check_matching(sigma)
-    tau = occ.check_matching(tau)
-    parent = list(range(occ.num_letters))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    merges = 0
-    for i in occ.active:
-        for k in range(occ.counts[i]):
-            for a, b in (
-                (occ.pos_prev[i][k], occ.neg_ids[i][sigma[i][k]]),
-                (occ.pos_ids[i][k], occ.neg_prev[i][tau[i][k]]),
-            ):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-                    merges += 1
-    return occ.num_letters - merges
-
-
-def cycle_types(
-    occ: OccurrenceTable, sigma: Matching, tau: Matching
-) -> tuple[Partition, ...]:
-    """Cycle type of (sigma^-1 tau) restricted to E_i+, per active generator.
-
-    An independent oracle, with its own cycle walk, that the tests check
-    ``_scan`` against.
-    """
-    sigma = occ.check_matching(sigma)
-    tau = occ.check_matching(tau)
-    out = []
-    for i in occ.active:
-        inv = [0] * occ.counts[i]
-        for k, v in enumerate(sigma[i]):
-            inv[v] = k
-        seen = [False] * occ.counts[i]
-        lengths = []
-        for start in range(occ.counts[i]):
-            if seen[start]:
-                continue
-            size = 0
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                size += 1
-                k = inv[tau[i][k]]
-            lengths.append(size)
-        out.append(tuple(sorted(lengths, reverse=True)))
-    return tuple(out)
-
-
-def z_disc_count(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
-    return sum(len(ct) for ct in cycle_types(occ, sigma, tau))
 
 
 def euler_char(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
@@ -455,29 +334,6 @@ def _maximal_components(
     return ch, sorted(components)
 
 
-def _diagonal_scan(occ: OccurrenceTable) -> Iterator[tuple[tuple, int]]:
-    """Yield (sigma_parts, chi(sigma, sigma)) for every matching sigma.
-
-    A test oracle for ``_diagonal_search``, one fresh union-find per
-    matching.  The parts range over active generators, in ``_scan``'s
-    sigma order.
-    """
-    edges = [
-        (occ.pos_prev[i], occ.neg_ids[i], occ.pos_ids[i], occ.neg_prev[i])
-        for i in occ.active
-    ]
-    # chi(sigma, sigma) = B - L + #empty: all L z-discs are fixed points
-    shift = occ.num_empty - occ.L
-    for parts in itertools.product(
-        *(itertools.permutations(range(occ.counts[i])) for i in occ.active)
-    ):
-        parent = list(range(occ.num_letters))
-        merges = 0
-        for (pp, ng, po, np_), sp in zip(edges, parts):
-            merges += _link(parent, pp, ng, sp) + _link(parent, po, np_, sp)
-        yield parts, occ.num_letters - merges + shift
-
-
 def diagonal_max_euler(
     t: WordTuple, *, cap: int = DEFAULT_PAIR_CAP, above: int | None = None
 ) -> int | float | None:
@@ -493,8 +349,11 @@ def diagonal_max_euler(
     if not t.is_balanced():
         return float("-inf") if above is None else None
     occ = occurrences(t)
-    if occ.match_count() > cap:
-        raise PairCapExceeded(occ.match_count(), cap)
+    needed = occ.match_count()
+    if needed > cap:
+        raise PairCapExceeded(
+            needed, cap, f"enumeration of {needed} matchings exceeds the cap {cap}"
+        )
     return _diagonal_search(occ, above)[0]
 
 
@@ -508,12 +367,12 @@ def _summed_scan(
     positive end k goes to negative end sigma(pi(k)).  The summed
     generator g* is the active one with the most occurrences.  For each
     sigma and each pi over the other generators the union-find runs as in
-    ``_scan``; its partition matters to g*'s edges only through the
-    blocks of g*'s 2c tau-endpoints, read in that order and reduced to
-    first-appearance labels (the boundary pattern).  A memo keyed on the
+    the per-pair test oracle ``_scan``; its partition matters to g*'s
+    edges only through the blocks of g*'s 2c tau-endpoints, read in that
+    order and reduced to first-appearance labels (the boundary pattern).  A memo keyed on the
     pattern holds the histogram of (cycle type of pi_g*, extra merges)
     over all pi_g*, so the loop runs prod(c_i!)^2 / c_g*! times.
-    ``sigma_range`` slices the sigma enumeration, in ``_scan``'s order.
+    ``sigma_range`` slices the sigma enumeration, in lexicographic order.
     """
     active = occ.active
     if not active:

@@ -168,18 +168,13 @@ def trace_leading(t: WordTuple, *, cap: int = DEFAULT_PAIR_CAP) -> LeadingTerm:
     return _leading_from_counts(occ, class_counts(occ, cap=cap))
 
 
-def parity_report(
-    t: WordTuple,
-    *,
-    cap: int = DEFAULT_PAIR_CAP,
-    laurent_terms: int = DEFAULT_LAURENT_TERMS,
-) -> bool:
+def parity_report(t: WordTuple, *, cap: int = DEFAULT_PAIR_CAP) -> bool:
     """Whether all Laurent exponents share the parity of the word count.
 
     Vacuously true for the zero function (in particular for unbalanced
     tuples).
     """
-    return trace_exact(t, cap=cap, laurent_terms=laurent_terms).parity_ok
+    return trace_exact(t, cap=cap).parity_ok
 
 
 def scl_upper_bound(
@@ -211,7 +206,9 @@ def scl_upper_bound(
         needed = math.prod(math.factorial(total * c) for c in counts)
         if needed > cap:
             if best is None:
-                raise PairCapExceeded(needed, cap)
+                raise PairCapExceeded(
+                    needed, cap, f"enumeration of {needed} matchings exceeds the cap {cap}"
+                )
             break
         for parts in partitions(total):
             # diagonal pairs attain the maximum; -ch / (2 total) < best

@@ -1,9 +1,9 @@
 """The unitary Weingarten function as an exact rational function of n.
 
-Two independent routes are implemented: the character formula (the
-default, all cycle types of one L at once over a common denominator)
-and direct inversion of sigma -> n^#cycles(sigma) in the group ring,
-kept as a test oracle.
+Values come from the character formula, all cycle types of one L at
+once over a common denominator.  The tests check them against an
+independent route, direct inversion of sigma -> n^#cycles(sigma) in the
+group ring (``wg_inversion`` in ``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -17,16 +17,12 @@ from functools import lru_cache
 from .perm import (
     Partition,
     Permutation,
-    all_permutations,
     character,
     check_partition,
     dimension,
-    mobius_of_cycle_type,
     partitions,
 )
 from .ratfn import Polynomial, RationalFunction
-
-WG_INVERSION_LIMIT = 8
 
 
 def wg(mu: Partition) -> RationalFunction:
@@ -37,17 +33,6 @@ def wg(mu: Partition) -> RationalFunction:
     """
     mu = check_partition(sorted(mu, reverse=True))
     return _wg_values(sum(mu))[mu]
-
-
-def wg_leading(mu: Partition) -> tuple[int, int]:
-    """Leading term of wg(mu) without computing the function.
-
-    Returns (-(L + ||sigma||), Mobius(sigma)) for sigma of type mu.
-    """
-    mu = check_partition(tuple(sorted(mu, reverse=True)))
-    L = sum(mu)
-    nrm = L - len(mu)
-    return -(L + nrm), mobius_of_cycle_type(mu)
 
 
 @dataclass(frozen=True)
@@ -122,110 +107,6 @@ def _pmul(a: list[int], b: list[int]) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-# ---------------------------------------------------------------------------
-# group-ring inversion oracle
-#
-# Solving the convolution system uses fraction-free (Bareiss)
-# elimination over integer-coefficient polynomials, held as plain
-# coefficient lists: all divisions below are exact, so no gcds are
-# needed until the final back-substitution.
-
-def _psub(a: list[int], b: list[int]) -> list[int]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for j, y in enumerate(b):
-        out[j] -= y
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pdiv_exact(a: list[int], b: list[int]) -> list[int]:
-    if not a:
-        return []
-    rem = list(a)
-    lead = b[-1]
-    quot = [0] * (len(a) - len(b) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        c = rem[k + len(b) - 1]
-        if c % lead:
-            raise ArithmeticError("inexact polynomial division in elimination")
-        c //= lead
-        quot[k] = c
-        if c:
-            for j, y in enumerate(b):
-                rem[k + j] -= c * y
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division in elimination")
-    return quot
-
-
-def _class_rep(mu: Partition, L: int) -> Permutation:
-    images = list(range(L))
-    start = 0
-    for part in mu:
-        for k in range(part):
-            images[start + k] = start + (k + 1) % part
-        start += part
-    return Permutation(images)
-
-
-def wg_inversion(L: int, *, limit: int = WG_INVERSION_LIMIT) -> WeingartenTable:
-    """Invert sigma -> n^#cycles(sigma) in the group ring directly.
-
-    Independent of the character formula; intended as an oracle for
-    ``wg``.  Cost grows with L!, hence the configurable limit.
-    """
-    if L > limit:
-        raise ValueError(f"wg_inversion limited to L <= {limit}, got {L}")
-    classes = list(partitions(L))
-    index = {mu: a for a, mu in enumerate(classes)}
-    reps = [_class_rep(mu, L) for mu in classes]
-    p = len(classes)
-    # matrix[a][b] = sum over pi in class b of n^#cycles(pi^-1 rep_a)
-    matrix: list[list[list[int]]] = [
-        [[0] * (L + 1) for _ in range(p)] for _ in range(p)
-    ]
-    for pi in all_permutations(L):
-        b = index[pi.cycle_type()]
-        pi_inv = pi.inverse()
-        for a in range(p):
-            k = (pi_inv * reps[a]).num_cycles()
-            matrix[a][b][k] += 1
-    rows = matrix
-    for row in rows:
-        for entry in row:
-            while entry and entry[-1] == 0:
-                entry.pop()
-    rhs: list[list[int]] = [[] for _ in range(p)]
-    rhs[index[tuple([1] * L)]] = [1]
-
-    # Bareiss elimination on the augmented system
-    aug = [rows[a] + [rhs[a]] for a in range(p)]
-    prev = [1]
-    for k in range(p):
-        if not aug[k][k]:
-            swap = next(i for i in range(k + 1, p) if aug[i][k])
-            aug[k], aug[swap] = aug[swap], aug[k]
-        for i in range(k + 1, p):
-            for j in range(k + 1, p + 1):
-                aug[i][j] = _pdiv_exact(
-                    _psub(_pmul(aug[i][j], aug[k][k]), _pmul(aug[i][k], aug[k][j])),
-                    prev,
-                )
-            aug[i][k] = []
-        prev = aug[k][k]
-
-    values: list[RationalFunction | None] = [None] * p
-    for i in range(p - 1, -1, -1):
-        acc = RationalFunction(Polynomial(aug[i][p]))
-        for j in range(i + 1, p):
-            acc = acc - RationalFunction(Polynomial(aug[i][j])) * values[j]
-        values[i] = acc / RationalFunction(Polynomial(aug[i][i]))
-    return WeingartenTable(
-        L, {mu: values[a] for a, mu in enumerate(classes)}
-    )
 
 
 def moment(

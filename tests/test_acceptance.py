@@ -15,25 +15,32 @@ from fractions import Fraction
 
 from wordmeasure.montecarlo import estimate
 from wordmeasure.perm import (
-    all_permutations,
     character,
-    conjugacy_class_size,
     leq,
     mobius,
     partitions,
 )
-from wordmeasure.ratfn import RationalFunction, rf
-from wordmeasure.solutions import leading_via_classes, pair_leq, solution_classes
+from wordmeasure.ratfn import RationalFunction
+from wordmeasure.solutions import solution_classes
 from wordmeasure.surfaces import (
     commutator_length,
-    enumerate_matchings,
     euler_char,
     occurrences,
     pair_statistics,
 )
 from wordmeasure.trace import parity_report, scl_upper_bound, trace_exact, trace_leading
-from wordmeasure.weingarten import moment, wg, wg_inversion
+from wordmeasure.weingarten import moment, wg
 from wordmeasure.words import Letter, Word, parse, parse_tuple, word_tuple
+
+from oracles import (
+    all_permutations,
+    conjugacy_class_size,
+    enumerate_matchings,
+    leading_via_classes,
+    pair_leq,
+    rf,
+    wg_inversion,
+)
 
 GOLDEN = {
     "[x,y]": (2, rf((1,), (0, 1))),

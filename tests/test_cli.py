@@ -234,7 +234,7 @@ class TestErrorsAndConfig:
             capsys, "scl", "-w", "[x,y]^2", "--budget", "2", "--pair-cap", "1"
         )
         assert (code, out) == (2, "")
-        assert err == "limit exceeded: enumeration of 4 matching pairs exceeds the cap 1\n"
+        assert err == "limit exceeded: enumeration of 4 matchings exceeds the cap 1\n"
 
     def test_incompressible_cap_names_the_visited_pairs(self, capsys):
         code, out, err = run(
@@ -331,6 +331,24 @@ def test_non_integer_matching_names_the_flag(capsys, flag):
     )
     assert (code, out) == (1, "")
     assert err == f"error: {flag} must list integers, got '2,abc'\n"
+
+
+@pytest.mark.parametrize("flag", ["--sigma", "--tau"])
+def test_matching_segment_past_the_rank_names_the_flag(capsys, flag):
+    values = {"--sigma": "1;1", "--tau": "1;1"} | {flag: "1;1;7,8"}
+    code, out, err = run(
+        capsys, "incompressible", "-w", "[x,y]",
+        "--sigma", values["--sigma"], "--tau", values["--tau"],
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} has a segment past the rank 2, got '7,8'\n"
+    # empty trailing segments are still the identity
+    values[flag] = "1;1; ;"
+    code, out, _ = run(
+        capsys, "incompressible", "-w", "[x,y]",
+        "--sigma", values["--sigma"], "--tau", values["--tau"],
+    )
+    assert (code, out) == (0, "pair chi = -1\nincompressible: yes\n")
 
 
 def test_non_integer_jobs_env_is_named(capsys, monkeypatch):
@@ -434,3 +452,25 @@ def test_package_rejects_unknown_names():
         assert "numpy" not in sys.modules
     """)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classes", "-w", "[x,y]^2", "--json"], ["trace", "-w", "[x,y]", "--json"]],
+    ids=["classes", "trace"],
+)
+def test_benchmark_replay_wraps_and_runs_this_package(capsys, argv):
+    # replay.py wraps each function of its TRACED table before it runs
+    # the CLI, so dropping or renaming one of them fails here
+    replay = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "replay.py")
+    src = os.path.dirname(os.path.dirname(wordmeasure.__file__))
+    proc = subprocess.run(
+        [sys.executable, replay, *argv],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    code, out, err = run(capsys, *argv)
+    assert (record["exit"], record["stdout"], record["stderr"]) == (0, out, err)
+    assert (code, err) == (0, "")

@@ -11,8 +11,9 @@ from wordmeasure.ratfn import (
     Polynomial,
     RationalFunction,
     poly_gcd,
-    rf,
 )
+
+from oracles import degree_at_infinity, from_json_obj, rf
 
 
 def poly(*coeffs):
@@ -147,7 +148,7 @@ class TestLaurent:
                 residual = residual - mono
             assert (
                 residual.is_zero
-                or residual.degree_at_infinity()
+                or degree_at_infinity(residual)
                 <= series.leading_exponent - terms
             )
 
@@ -155,7 +156,7 @@ class TestLaurent:
 class TestSerialization:
     def test_json_round_trip(self):
         f = rf((36, 0, 9), (0, 4, 0, -5, 0, 1))
-        assert RationalFunction.from_json_obj(f.to_json_obj()) == f
+        assert from_json_obj(f.to_json_obj()) == f
 
     def test_json_integer_pairs(self):
         f = rf((1,), (0, 2))  # 1/(2n) -> num (1/2), den n

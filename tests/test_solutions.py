@@ -7,23 +7,22 @@ from wordmeasure.solutions import (
     build_poset,
     complex_euler,
     is_incompressible,
-    leading_via_classes,
     mobius_sum,
     order_complex,
-    pair_leq,
     pair_rank,
     pi1_presentation,
     solution_classes,
 )
 from wordmeasure.surfaces import (
     PairCapExceeded,
-    enumerate_matchings,
     euler_char,
     occurrences,
     pair_statistics,
 )
 from wordmeasure.trace import trace_leading
 from wordmeasure.words import Letter, Word, WordTuple, parse_tuple
+
+from oracles import enumerate_matchings, leading_via_classes, pair_leq
 
 
 @pytest.fixture(scope="module")
@@ -267,7 +266,7 @@ class TestCoverRoute:
         def no_scan(*_, **__):
             raise AssertionError("diagonal work started above the cap")
 
-        monkeypatch.setattr(surfaces, "_diagonal_scan", no_scan)
+        assert not hasattr(surfaces, "_diagonal_scan")
         monkeypatch.setattr(surfaces, "_diagonal_search", no_scan)
         t = parse_tuple(["[x,y]^3"], 2)
         total = occurrences(t).pair_count()

@@ -7,7 +7,7 @@ import pytest
 from wordmeasure import surfaces
 from wordmeasure.diagonal import _Junctions
 from wordmeasure.perm import Permutation
-from wordmeasure.solutions import is_incompressible, pair_leq
+from wordmeasure.solutions import is_incompressible
 from wordmeasure.surfaces import (
     OccurrenceTable,
     PairCapExceeded,
@@ -15,17 +15,15 @@ from wordmeasure.surfaces import (
     _cycle_lengths,
     _level_set,
     _link,
-    block_count,
     commutator_length,
-    cycle_types,
     diagonal_max_euler,
-    enumerate_matchings,
     euler_char,
     occurrences,
     pair_statistics,
-    z_disc_count,
 )
 from wordmeasure.words import parse, parse_tuple
+
+from oracles import block_count, cycle_types, enumerate_matchings, pair_leq
 
 XY = parse_tuple(["[x,y]"], 2)
 XY2 = parse_tuple(["[x,y]^2"], 2)
@@ -79,32 +77,32 @@ class TestBlockAndDiscCounts:
         occ = occurrences(XY)
         (m,) = enumerate_matchings(occ)
         assert block_count(occ, m, m) == 1
-        assert z_disc_count(occ, m, m) == 2
+        assert sum(map(len, cycle_types(occ, m, m))) == 2
         assert euler_char(occ, m, m) == -1
 
     def test_annulus_pair(self):
         # the surface for (x, x^-1) must be an annulus: chi = 0
         occ = occurrences(ANNULUS)
         (m,) = enumerate_matchings(occ)
-        assert z_disc_count(occ, m, m) == 1
+        assert sum(map(len, cycle_types(occ, m, m))) == 1
         assert euler_char(occ, m, m) == 0
         assert block_count(occ, m, m) == 1
 
     def test_diagonal_z_count_is_l(self):
         occ = occurrences(XY2)
         for m in enumerate_matchings(occ):
-            assert z_disc_count(occ, m, m) == occ.L
+            assert sum(map(len, cycle_types(occ, m, m))) == occ.L
 
     def test_mixed_pair_of_two_commutators(self):
         occ = occurrences(XYXZ)
         m1, m2 = enumerate_matchings(occ)
-        assert z_disc_count(occ, m1, m2) == 3
+        assert sum(map(len, cycle_types(occ, m1, m2))) == 3
         assert cycle_types(occ, m1, m2) == ((2,), (1,), (1,))
 
     def test_one_occurrence_per_generator(self):
         occ = occurrences(parse_tuple(["[x,y]"], 2))
         (m,) = enumerate_matchings(occ)
-        assert z_disc_count(occ, m, m) == 2  # r cycles
+        assert sum(map(len, cycle_types(occ, m, m))) == 2  # r cycles
 
 
 class TestHistograms:
@@ -155,7 +153,7 @@ class TestMaxEuler:
         def no_scan(*_, **__):
             raise AssertionError("diagonal work started above the cap")
 
-        monkeypatch.setattr(surfaces, "_diagonal_scan", no_scan)
+        assert not hasattr(surfaces, "_diagonal_scan")
         monkeypatch.setattr(surfaces, "_diagonal_search", no_scan)
         with pytest.raises(PairCapExceeded):
             pair_statistics(XY2, cap=10)
@@ -186,7 +184,7 @@ class TestCommutatorLength:
         def no_scan(*_, **__):
             raise AssertionError("commutator_length scanned pairs")
 
-        monkeypatch.setattr(surfaces, "_scan", no_scan)
+        assert not hasattr(surfaces, "_scan")
         monkeypatch.setattr(surfaces, "_summed_scan", no_scan)
         w = parse("[x,y]", 2)
         assert [commutator_length(w**m) for m in (1, 2, 3, 4)] == [1, 2, 2, 3]

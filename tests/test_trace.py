@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 
 from wordmeasure import trace
 from wordmeasure.perm import partitions
-from wordmeasure.ratfn import RationalFunction, rf
-from wordmeasure.surfaces import PairCapExceeded, _diagonal_scan, occurrences
+from wordmeasure.ratfn import RationalFunction
+from wordmeasure.surfaces import (
+    PairCapExceeded,
+    diagonal_max_euler,
+    occurrences,
+    pair_statistics,
+)
 from wordmeasure.trace import (
     parity_report,
     scl_upper_bound,
@@ -25,6 +30,8 @@ from wordmeasure.words import (
     word_tuple,
 )
 
+from oracles import _diagonal_scan, leading_via_classes, rf
+
 GOLDEN_FUNCTIONS = {
     "[x,y]": rf((1,), (0, 1)),
     "[x^2,y]": rf((2,), (0, 1)),
@@ -34,6 +41,43 @@ GOLDEN_FUNCTIONS = {
     "[x,y][x^2y^2,z]": rf((-8, 0, 1), (0, 4, 0, -5, 0, 1)),
     "[x,y][x,z][x,t]": RationalFunction.zero(),
 }
+
+
+# the largest pair count the invariance tests run on: that of [x,y]^3
+INVARIANCE_PAIRS = 1_296
+
+
+def _relabel(t, gens, flip=()):
+    """t with generator g renamed gens[g], inverted when g is in flip."""
+    return WordTuple(
+        tuple(
+            Word(Letter(gens.get(g, g), -s if g in flip else s) for g, s in w)
+            for w in t.words
+        ),
+        t.rank,
+    )
+
+
+def _invariants(t):
+    return (
+        trace_exact(t).function,
+        pair_statistics(t, collect_argmax=False).ch,
+        diagonal_max_euler(t),
+        leading_via_classes(t),
+    )
+
+
+def _assert_invariant(t):
+    """Swapping x and y, inverting x and reordering the words change nothing."""
+    expected = _invariants(t)
+    moved = [
+        _relabel(t, {1: 2, 2: 1}),
+        _relabel(t, {}, flip={1}),
+        WordTuple(t.words[::-1], t.rank),
+        WordTuple(t.words[1:] + t.words[:1], t.rank),
+    ]
+    for m in moved:
+        assert _invariants(m) == expected, (str(t), str(m))
 
 
 class TestExactValues:
@@ -95,6 +139,29 @@ class TestExactValues:
             conjugated = word_tuple([u * word * u.inverse()], t.rank)
             assert trace_exact(conjugated, cyclic_reduce=False).function == base
             assert trace_exact(word_tuple([word.inverse()], t.rank)).function == base
+
+    def test_golden_invariance_under_automorphisms_and_order(self, golden_tuples):
+        for text, t in golden_tuples.items():
+            _assert_invariant(t)
+            for partner in ("", "[y,x]"):
+                pair = word_tuple([t.words[0], parse(partner, t.rank)], t.rank)
+                if occurrences(pair.cyclically_reduced()).pair_count() <= INVARIANCE_PAIRS:
+                    _assert_invariant(pair)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_invariance_under_automorphisms_and_order(self, data):
+        rank = data.draw(st.integers(2, 3))
+        letter = st.builds(Letter, st.integers(1, rank), st.sampled_from((1, -1)))
+        words = data.draw(st.lists(st.lists(letter, max_size=4), min_size=1, max_size=3))
+        # cancel each generator's exponent sum in one of the words
+        for gen in range(1, rank + 1):
+            excess = sum(let.sign for w in words for let in w if let.gen == gen)
+            fix = data.draw(st.integers(0, len(words) - 1))
+            words[fix] = words[fix] + [Letter(gen, -1 if excess > 0 else 1)] * abs(excess)
+        t = word_tuple([Word(w) for w in words], rank)
+        if occurrences(t.cyclically_reduced()).pair_count() <= INVARIANCE_PAIRS:
+            _assert_invariant(t)
 
     def test_multiplicative_on_disjoint_generators(self):
         # trace(w1 w2) = trace(w1) trace(w2) / n for disjoint generator sets

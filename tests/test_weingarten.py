@@ -4,19 +4,23 @@ from fractions import Fraction
 import pytest
 
 from wordmeasure.perm import (
-    all_permutations,
     character,
-    content_polynomial,
     dimension,
     partitions,
 )
-from wordmeasure.ratfn import Polynomial, RationalFunction, rf
+from wordmeasure.ratfn import Polynomial, RationalFunction
 from wordmeasure.weingarten import (
     moment,
     wg,
+    wg_table,
+)
+
+from oracles import (
+    all_permutations,
+    content_polynomial,
+    rf,
     wg_inversion,
     wg_leading,
-    wg_table,
 )
 
 N = Polynomial((0, 1))
@@ -119,7 +123,7 @@ class TestInversionOracle:
     def test_group_ring_inverse_identity_l5(self):
         # both sides are class functions of sigma, so one representative
         # per conjugacy class covers every sigma in S_5
-        from wordmeasure.weingarten import _class_rep
+        from oracles import _class_rep
 
         perms = list(all_permutations(5))
         for mu in partitions(5):
