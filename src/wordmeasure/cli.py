@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .perm import partitions
@@ -31,23 +30,11 @@ from .surfaces import (
 )
 from .trace import DEFAULT_LAURENT_TERMS, scl_upper_bound, trace_exact
 from .weingarten import wg_table
-from .words import RankError, Word, WordSyntaxError, WordTuple, parse
+from .words import RankError, WordSyntaxError, WordTuple, parse, word_tuple
 
 SCHEMA_VERSION = "1"
 SEED_ENV = "WORDMEASURE_SEED"
 JOBS_ENV = "WORDMEASURE_PARALLELISM"
-
-
-@dataclass
-class RunConfig:
-    """Shared run options resolved from flags, files and environment."""
-
-    words: WordTuple
-    laurent_terms: int = DEFAULT_LAURENT_TERMS
-    pair_cap: int = DEFAULT_PAIR_CAP
-    jobs: int = 1
-    seed: int = 0
-    as_json: bool = False
 
 
 def canonical_dumps(obj) -> str:
@@ -132,52 +119,40 @@ def _read_words_file(path: str) -> tuple[list[str], int | None]:
     return texts, rank
 
 
-def _resolve_words(args) -> WordTuple:
+def _words(args) -> WordTuple:
+    """The word tuple of -w and --words-file, after the --pair-cap check."""
+    if args.pair_cap < 1:
+        raise ValueError(f"--pair-cap must be at least 1, got {args.pair_cap}")
     texts = list(args.word or [])
-    file_rank = None
-    if getattr(args, "words_file", None):
+    rank = args.rank
+    if args.words_file:
         file_texts, file_rank = _read_words_file(args.words_file)
         texts.extend(file_texts)
+        if rank is None:
+            rank = file_rank
     if not texts:
         raise ValueError("no words given; use -w or --words-file")
-    rank = args.rank if args.rank is not None else file_rank
-    if rank is not None:
-        words = tuple(parse(t, rank) for t in texts)
-        return WordTuple(words, rank)
-    words = tuple(parse(t, None) for t in texts)
-    inferred = max((w.max_generator for w in words), default=1)
-    return WordTuple(words, max(inferred, 1))
+    return word_tuple([parse(text, rank) for text in texts], rank)
 
 
-def _config(args) -> RunConfig:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV, "0"))
-    # subcommands that split no scan register no --jobs and ignore the env
-    jobs = getattr(args, "jobs", 1)
-    if jobs is None:
-        text = os.environ.get(JOBS_ENV, "1")
+def _setting(value: int | None, flag: str, env: str, least: int) -> int:
+    """A flag's value, else its environment variable's, else ``least``.
+
+    Also checked to be at least ``least``.
+    """
+    if value is None:
+        text = os.environ.get(env, str(least))
         try:
-            jobs = int(text)
+            value = int(text)
         except ValueError:
-            raise ValueError(f"{JOBS_ENV} must be an integer, got {text!r}") from None
-    if jobs < 1:
-        raise ValueError(f"--jobs / {JOBS_ENV} must be at least 1, got {jobs}")
-    pair_cap = getattr(args, "pair_cap", DEFAULT_PAIR_CAP)
-    if pair_cap < 1:
-        raise ValueError(f"--pair-cap must be at least 1, got {pair_cap}")
-    return RunConfig(
-        words=_resolve_words(args),
-        laurent_terms=getattr(args, "laurent", DEFAULT_LAURENT_TERMS),
-        pair_cap=pair_cap,
-        jobs=jobs,
-        seed=seed,
-        as_json=getattr(args, "json", False),
-    )
+            raise ValueError(f"{env} must be an integer, got {text!r}") from None
+    if value < least:
+        raise ValueError(f"{flag} / {env} must be at least {least}, got {value}")
+    return value
 
 
-def _emit(cfg_json: bool, obj: dict, text_lines: list[str]) -> None:
-    if cfg_json:
+def _emit(as_json: bool, obj: dict, text_lines: list[str]) -> None:
+    if as_json:
         obj["schema_version"] = SCHEMA_VERSION
         print(canonical_dumps(obj))
     else:
@@ -186,10 +161,12 @@ def _emit(cfg_json: bool, obj: dict, text_lines: list[str]) -> None:
 
 
 def cmd_trace(args) -> int:
-    cfg = _config(args)
-    t = cfg.words
+    jobs = _setting(args.jobs, "--jobs", JOBS_ENV, 1)
+    t = _words(args)
+    if args.laurent < 1:
+        raise ValueError(f"--laurent must be at least 1, got {args.laurent}")
     result = trace_exact(
-        t, cap=cfg.pair_cap, laurent_terms=cfg.laurent_terms, jobs=cfg.jobs
+        t, cap=args.pair_cap, laurent_terms=args.laurent, jobs=jobs
     )
     lines = [f"words: {t}  (rank {t.rank})"]
     obj: dict = {
@@ -205,7 +182,7 @@ def cmd_trace(args) -> int:
         obj["leading"] = None
         obj["ch_term"] = None
         obj["parity_ok"] = True
-        _emit(cfg.as_json, obj, lines)
+        _emit(args.json, obj, lines)
         return 0
     lead = result.ch_term
     lines.append(f"trace = {result.function}")
@@ -237,23 +214,21 @@ def cmd_trace(args) -> int:
         lead.degenerate and result.function.is_zero
     )
     obj["parity_ok"] = result.parity_ok
-    _emit(cfg.as_json, obj, lines)
+    _emit(args.json, obj, lines)
     return 0
 
 
 def cmd_chi(args) -> int:
-    cfg = _config(args)
-    t = cfg.words
-    scan = pair_statistics(
-        t, cap=cfg.pair_cap, collect_argmax=False, jobs=cfg.jobs
-    )
+    jobs = _setting(args.jobs, "--jobs", JOBS_ENV, 1)
+    t = _words(args)
+    scan = pair_statistics(t, cap=args.pair_cap, collect_argmax=False, jobs=jobs)
     obj: dict = {
         "words": [str(w) for w in t.words],
         "rank": t.rank,
         "balanced": scan.balanced,
     }
     if not scan.balanced:
-        _emit(cfg.as_json, obj | {"ch": None}, ["ch = -inf (unbalanced)"])
+        _emit(args.json, obj | {"ch": None}, ["ch = -inf (unbalanced)"])
         return 0
     lines = []
     cl = None
@@ -274,16 +249,15 @@ def cmd_chi(args) -> int:
     }
     histogram = {str(chi): count for chi, count in sorted(scan.histogram.items())}
     obj["histogram"] = histogram
-    if getattr(args, "histogram", False):
+    if args.histogram:
         lines.append(canonical_dumps(histogram))
-    _emit(cfg.as_json, obj, lines)
+    _emit(args.json, obj, lines)
     return 0
 
 
 def cmd_classes(args) -> int:
-    cfg = _config(args)
-    t = cfg.words
-    classes = solution_classes(t, cap=cfg.pair_cap)
+    t = _words(args)
+    classes = solution_classes(t, cap=args.pair_cap)
     lines = [f"words: {t}  (rank {t.rank})", f"solution classes: {len(classes)}"]
     cls_objs = []
     for k, cls in enumerate(classes):
@@ -326,18 +300,17 @@ def cmd_classes(args) -> int:
         "classes": cls_objs,
         "leading": {"exponent": ch, "coefficient": coeff},
     }
-    _emit(cfg.as_json, obj, lines)
+    _emit(args.json, obj, lines)
     return 0
 
 
 def cmd_incompressible(args) -> int:
-    cfg = _config(args)
-    t = cfg.words.cyclically_reduced()
+    t = _words(args).cyclically_reduced()
     occ = occurrences(t)
     sigma = occ.check_matching(_parse_matching_arg("--sigma", args.sigma, occ.counts))
     tau = occ.check_matching(_parse_matching_arg("--tau", args.tau, occ.counts))
     chi = euler_char(occ, sigma, tau)
-    verdict = is_incompressible(occ, sigma, tau, cap=cfg.pair_cap)
+    verdict = is_incompressible(occ, sigma, tau, cap=args.pair_cap)
     lines = [
         f"pair chi = {chi}",
         f"incompressible: {'yes' if verdict else 'no'}",
@@ -350,31 +323,28 @@ def cmd_incompressible(args) -> int:
         "chi": chi,
         "incompressible": verdict,
     }
-    _emit(cfg.as_json, obj, lines)
+    _emit(args.json, obj, lines)
     return 0
 
 
 def cmd_scl(args) -> int:
-    cfg = _config(args)
-    if len(cfg.words.words) != 1:
+    t = _words(args)
+    if len(t.words) != 1:
         raise ValueError("scl takes exactly one word")
-    word = cfg.words.words[0]
-    bound = scl_upper_bound(
-        word, args.budget, rank=cfg.words.rank, cap=cfg.pair_cap
-    )
-    lines = [f"scl({cfg.words.words[0]}) <= {bound}  (budget {args.budget})"]
+    word = t.words[0]
+    bound = scl_upper_bound(word, args.budget, rank=t.rank, cap=args.pair_cap)
+    lines = [f"scl({word}) <= {bound}  (budget {args.budget})"]
     obj = {
         "word": str(word),
-        "rank": cfg.words.rank,
+        "rank": t.rank,
         "budget": args.budget,
         "bound": _fraction_pair(bound),
     }
-    _emit(cfg.as_json, obj, lines)
+    _emit(args.json, obj, lines)
     return 0
 
 
 def cmd_wg(args) -> int:
-    as_json = getattr(args, "json", False)
     table = wg_table(args.L)
     lines = [f"Weingarten table for L = {args.L}"]
     entries = []
@@ -384,13 +354,14 @@ def cmd_wg(args) -> int:
         lines.append(f"  {mu_str:16s} {value}")
         entries.append({"cycle_type": list(mu), "value": _function_obj(value)})
     obj = {"L": args.L, "entries": entries}
-    _emit(as_json, obj, lines)
+    _emit(args.json, obj, lines)
     return 0
 
 
 def cmd_verify_mc(args) -> int:
-    cfg = _config(args)
-    t = cfg.words
+    jobs = _setting(args.jobs, "--jobs", JOBS_ENV, 1)
+    t = _words(args)
+    seed = _setting(args.seed, "--seed", SEED_ENV, 0)
     # estimate's own checks, made before the exact scan and the numpy import
     if args.n < 1:
         raise ValueError("dimension must be positive")
@@ -398,10 +369,10 @@ def cmd_verify_mc(args) -> int:
         raise ValueError(f"sample count must be positive, got {args.samples}")
     from .montecarlo import estimate  # the only subcommand that loads numpy
 
-    result = trace_exact(t, cap=cfg.pair_cap)
-    mc = estimate(t, args.n, args.samples, cfg.seed, jobs=cfg.jobs)
+    result = trace_exact(t, cap=args.pair_cap)
+    mc = estimate(t, args.n, args.samples, seed, jobs=jobs)
     lines = [
-        f"words: {t}  (rank {t.rank}), n = {args.n}, samples = {args.samples}, seed = {cfg.seed}",
+        f"words: {t}  (rank {t.rank}), n = {args.n}, samples = {args.samples}, seed = {seed}",
         f"mc mean = {mc.mean.real:+.6f} {mc.mean.imag:+.6f}i, stderr = {mc.stderr:.2e}",
     ]
     obj: dict = {
@@ -409,7 +380,7 @@ def cmd_verify_mc(args) -> int:
         "rank": t.rank,
         "n": args.n,
         "samples": args.samples,
-        "seed": cfg.seed,
+        "seed": seed,
         "mean": [mc.mean.real, mc.mean.imag],
         "stderr": mc.stderr,
     }
@@ -437,7 +408,7 @@ def cmd_verify_mc(args) -> int:
         )
         obj["exact"] = None
         obj["within_4_sigma"] = None
-    _emit(cfg.as_json, obj, lines)
+    _emit(args.json, obj, lines)
     return 0
 
 

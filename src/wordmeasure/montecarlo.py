@@ -14,7 +14,6 @@ import numpy as np
 
 from .words import WordTuple
 
-DEFAULT_SAMPLES = 200_000
 DEFAULT_BATCH = 2048
 
 
@@ -94,7 +93,7 @@ def _chunk_worker(args) -> tuple[complex, float, float]:
 def estimate(
     t: WordTuple,
     n: int,
-    samples: int = DEFAULT_SAMPLES,
+    samples: int,
     seed: int = 0,
     *,
     jobs: int = 1,

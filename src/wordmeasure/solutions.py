@@ -28,7 +28,7 @@ from .surfaces import (
     euler_char,
     occurrences,
 )
-from .words import WordTuple
+from .words import Word, WordTuple
 
 
 def matching_dist(a: Matching, b: Matching) -> int:
@@ -250,28 +250,16 @@ def pi1_presentation(complex_: OrderComplex) -> Presentation:
     for edge in complex_.edges:
         if edge not in tree_edges:
             generator_of[edge] = len(generator_of) + 1
-
-    def letter(a: int, b: int) -> int:
-        """Signed generator index for the directed edge a -> b; 0 if tree edge."""
-        edge = (a, b) if (a, b) in generator_of or (a, b) in tree_edges else (b, a)
-        g = generator_of.get(edge, 0)
-        return 0 if not g else (g if edge == (a, b) else -g)
-
     relators: list[tuple[int, ...]] = []
     seen_relators: set[tuple[int, ...]] = set()
     for i, k, j in complex_.triangles:
-        word = [letter(i, k), letter(k, j), letter(j, i)]
-        reduced: list[int] = []
-        for s in word:
-            if not s:
-                continue
-            if reduced and reduced[-1] == -s:
-                reduced.pop()
-            else:
-                reduced.append(s)
-        while len(reduced) >= 2 and reduced[0] == -reduced[-1]:
-            reduced = reduced[1:-1]
-        rel = tuple(reduced)
+        # edges run (lower, upper): the boundary is g(i,k) g(k,j) g(i,j)^-1
+        boundary = Word(
+            (generator_of[edge], sign)
+            for edge, sign in (((i, k), 1), ((k, j), 1), ((i, j), -1))
+            if edge in generator_of
+        )
+        rel = tuple(let.gen * let.sign for let in boundary.cyclic_reduce())
         if rel and rel not in seen_relators:
             seen_relators.add(rel)
             relators.append(rel)

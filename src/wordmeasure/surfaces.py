@@ -223,7 +223,6 @@ _UNBALANCED_SCAN = PairScan(False, float("-inf"), (), None, {}, 0, 0)
 def pair_statistics(
     t: WordTuple,
     *,
-    cyclic_reduce: bool = True,
     cap: int = DEFAULT_PAIR_CAP,
     collect_argmax: bool = True,
     jobs: int = 1,
@@ -237,8 +236,7 @@ def pair_statistics(
     that scan.  The argmax, only when collected, is the union of the
     classes ``_maximal_components`` finds, sorted canonically.
     """
-    if cyclic_reduce:
-        t = t.cyclically_reduced()
+    t = t.cyclically_reduced()
     if not t.is_balanced():
         return _UNBALANCED_SCAN
     occ = occurrences(t)

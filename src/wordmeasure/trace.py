@@ -16,7 +16,6 @@ from .ratfn import ONE, ZERO, LaurentSeries, Polynomial, RationalFunction, poly_
 from .surfaces import (
     DEFAULT_PAIR_CAP,
     OccurrenceTable,
-    PairCapExceeded,
     class_counts,
     diagonal_max_euler,
     occurrences,
@@ -52,13 +51,12 @@ class TraceResult:
     ch_term: LeadingTerm                 # order-ch term from the same class counts
     parity_ok: bool                      # Laurent exponents share the word count's parity
 
-    def evaluate(self, n0: int, *, allow_below_threshold: bool = False) -> Fraction:
+    def evaluate(self, n0: int) -> Fraction:
         """Evaluate at an integer dimension, guarding the validity range."""
-        if n0 < self.validity_threshold and not allow_below_threshold:
+        if n0 < self.validity_threshold:
             raise ValueError(
                 f"n = {n0} is below the validity threshold "
-                f"{self.validity_threshold}; pass allow_below_threshold=True "
-                "to evaluate the bare rational function"
+                f"{self.validity_threshold}; .function is the bare rational function"
             )
         return self.function.evaluate(n0)
 
@@ -134,7 +132,6 @@ def _assemble(occ: OccurrenceTable, counts: dict, laurent_terms: int) -> TraceRe
 def trace_exact(
     t: WordTuple,
     *,
-    cyclic_reduce: bool = True,
     cap: int = DEFAULT_PAIR_CAP,
     laurent_terms: int = DEFAULT_LAURENT_TERMS,
     jobs: int = 1,
@@ -146,8 +143,7 @@ def trace_exact(
     generator.  One class-count scan feeds the function, the ch-term and
     the parity check; ``jobs`` > 1 splits that scan across processes.
     """
-    if cyclic_reduce:
-        t = t.cyclically_reduced()
+    t = t.cyclically_reduced()
     if not t.is_balanced():
         return _zero_result(laurent_terms)
     occ = occurrences(t)
@@ -191,9 +187,9 @@ def scl_upper_bound(
     tuple of total j has prod((j c_i)!) matchings, with c_i the counts
     of the cyclic core of w, so the search stops at the first total past
     the cap: every later tuple would be skipped too.  If the first total
-    is past it, the cap error is raised.  A tuple only has to beat the
-    best bound so far, so ``diagonal_max_euler`` dismisses the others
-    early.
+    is past it, ``diagonal_max_euler`` raises the cap error on w itself.
+    A tuple only has to beat the best bound so far, so
+    ``diagonal_max_euler`` dismisses the others early.
     """
     t = word_tuple([w], rank)
     if not t.is_balanced() or w.cyclic_reduce().is_empty:
@@ -204,11 +200,7 @@ def scl_upper_bound(
     best: Fraction | None = None
     for total in range(1, budget + 1):
         needed = math.prod(math.factorial(total * c) for c in counts)
-        if needed > cap:
-            if best is None:
-                raise PairCapExceeded(
-                    needed, cap, f"enumeration of {needed} matchings exceeds the cap {cap}"
-                )
+        if needed > cap and best is not None:
             break
         for parts in partitions(total):
             # diagonal pairs attain the maximum; -ch / (2 total) < best

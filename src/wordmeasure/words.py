@@ -165,9 +165,10 @@ class WordTuple:
 
 
 def word_tuple(words: Iterable[Word], rank: int | None = None) -> WordTuple:
+    """The tuple at ``rank``; None infers the largest generator, at least 1."""
     words = tuple(words)
     if rank is None:
-        rank = max((w.max_generator for w in words), default=1)
+        rank = max([1, *(w.max_generator for w in words)])
     return WordTuple(words, rank)
 
 

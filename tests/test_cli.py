@@ -296,6 +296,14 @@ def test_invalid_values_are_usage_errors(capsys, argv):
     assert out == ""
 
 
+def _forbid_scan(monkeypatch):
+    def no_scan(*_, **__):
+        raise AssertionError("scanned pairs")
+
+    monkeypatch.setattr(surfaces, "class_counts", no_scan)
+    monkeypatch.setattr(trace, "class_counts", no_scan)
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -305,13 +313,61 @@ def test_invalid_values_are_usage_errors(capsys, argv):
     ids=["n-zero", "samples-zero"],
 )
 def test_verify_mc_rejects_before_the_scan(capsys, monkeypatch, flags, message):
-    def no_scan(*_, **__):
-        raise AssertionError("verify-mc scanned pairs")
-
-    monkeypatch.setattr(surfaces, "class_counts", no_scan)
-    monkeypatch.setattr(trace, "class_counts", no_scan)
+    _forbid_scan(monkeypatch)
     code, out, err = run(capsys, "verify-mc", "-w", "[x,y]^4", *flags)
     assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize(
+    "env, flags, message",
+    [
+        ("abc", [], "error: WORDMEASURE_SEED must be an integer, got 'abc'\n"),
+        ("-3", [], "error: --seed / WORDMEASURE_SEED must be at least 0, got -3\n"),
+        (None, ["--seed", "-1"],
+         "error: --seed / WORDMEASURE_SEED must be at least 0, got -1\n"),
+    ],
+    ids=["env-malformed", "env-negative", "flag-negative"],
+)
+def test_verify_mc_names_a_bad_seed_before_the_scan(capsys, monkeypatch, env, flags, message):
+    _forbid_scan(monkeypatch)
+    if env is not None:
+        monkeypatch.setenv("WORDMEASURE_SEED", env)
+    code, out, err = run(
+        capsys, "verify-mc", "-w", "[x,y]^4", "--n", "3", "--samples", "10", *flags
+    )
+    assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("terms", ["0", "-1"])
+def test_trace_names_a_bad_laurent_depth_before_the_scan(capsys, monkeypatch, terms):
+    _forbid_scan(monkeypatch)
+    code, out, err = run(capsys, "trace", "-w", "[x,y]^4", "--laurent", terms)
+    assert (code, out, err) == (1, "", f"error: --laurent must be at least 1, got {terms}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["trace", "-w", "[x,y]^2", "--json"],
+        ["chi", "-w", "[x,y]^2", "--histogram"],
+        ["classes", "-w", "[x,y]^2"],
+        ["scl", "-w", "[x,y]^2", "--budget", "2"],
+        ["incompressible", "-w", "[x^2,y]", "--sigma", "2,1;1", "--tau", "2,1;1"],
+    ],
+    ids=["trace", "chi", "classes", "scl", "incompressible"],
+)
+def test_seed_env_is_read_by_verify_mc_only(capsys, monkeypatch, argv):
+    expected = run(capsys, *argv)
+    assert expected[0] == 0
+    monkeypatch.setenv("WORDMEASURE_SEED", "abc")
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("flags, rank", [([], 1), (["--rank", "0"], 0)])
+def test_rank_of_the_empty_word(capsys, flags, rank):
+    code, out, _ = run(capsys, "trace", "-w", "", *flags, "--json")
+    assert code == 0
+    assert json.loads(out)["rank"] == rank
 
 
 def test_non_integer_rank_header_names_the_file(capsys, tmp_path):

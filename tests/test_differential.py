@@ -232,7 +232,7 @@ def test_pair_statistics_match_scan_on_random_tuples(t, reduce):
         t = t.cyclically_reduced()
     if occurrences(t).pair_count() > 20_000:
         return
-    assert pair_statistics(t, cyclic_reduce=False) == _folded_statistics(t)
+    assert pair_statistics(t) == _folded_statistics(t.cyclically_reduced())
 
 
 def _comparability_classes(pairs):

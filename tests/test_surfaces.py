@@ -9,7 +9,6 @@ from wordmeasure.diagonal import _Junctions
 from wordmeasure.perm import Permutation
 from wordmeasure.solutions import is_incompressible
 from wordmeasure.surfaces import (
-    OccurrenceTable,
     PairCapExceeded,
     UnbalancedError,
     _cycle_lengths,

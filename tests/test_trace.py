@@ -10,11 +10,13 @@ from wordmeasure.perm import partitions
 from wordmeasure.ratfn import RationalFunction
 from wordmeasure.surfaces import (
     PairCapExceeded,
+    class_counts,
     diagonal_max_euler,
     occurrences,
     pair_statistics,
 )
 from wordmeasure.trace import (
+    DEFAULT_LAURENT_TERMS,
     parity_report,
     scl_upper_bound,
     trace_exact,
@@ -45,6 +47,11 @@ GOLDEN_FUNCTIONS = {
 
 # the largest pair count the invariance tests run on: that of [x,y]^3
 INVARIANCE_PAIRS = 1_296
+
+
+def _unreduced_function(occ):
+    """The exact trace assembled from the table of a word as written."""
+    return trace._assemble(occ, class_counts(occ), DEFAULT_LAURENT_TERMS).function
 
 
 def _relabel(t, gens, flip=()):
@@ -119,16 +126,13 @@ class TestExactValues:
         with pytest.raises(ValueError):
             result.evaluate(1)
         # the bare rational function has a pole at 1 here, but the guard
-        # triggers first; opting out reaches the function itself
-        assert result.evaluate(5, allow_below_threshold=True) == Fraction(-4, 120)
+        # triggers first; the function itself takes any n
+        assert result.function.evaluate(5) == Fraction(-4, 120)
 
     def test_presentation_independence(self):
         # Match() depends on the written form; the trace must not
-        conjugated = parse_tuple(["x [x,y] X"], 2)
-        assert (
-            trace_exact(conjugated, cyclic_reduce=False).function
-            == GOLDEN_FUNCTIONS["[x,y]"]
-        )
+        occ = occurrences(parse_tuple(["x [x,y] X"], 2))
+        assert _unreduced_function(occ) == GOLDEN_FUNCTIONS["[x,y]"]
 
     def test_conjugation_and_inversion_invariance(self, golden_tuples):
         for text in ("[x,y]", "[x,y]^2", "[x^2,y]"):
@@ -137,7 +141,7 @@ class TestExactValues:
             word = t.words[0]
             u = parse("y", 2)
             conjugated = word_tuple([u * word * u.inverse()], t.rank)
-            assert trace_exact(conjugated, cyclic_reduce=False).function == base
+            assert _unreduced_function(occurrences(conjugated)) == base
             assert trace_exact(word_tuple([word.inverse()], t.rank)).function == base
 
     def test_golden_invariance_under_automorphisms_and_order(self, golden_tuples):
