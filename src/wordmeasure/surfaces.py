@@ -1,11 +1,12 @@
 """Matchings of letter occurrences and the invariants of their surfaces.
 
 A matching pair (sigma, tau) determines a closed-up surface whose
-2-cells come in two kinds: discs counted by blocks of an index
-partition (union-find below), and discs counted by cycles of
-sigma^-1 tau within each generator.  Only those two counts matter:
-Euler characteristic = blocks + cycles - 2L, so no complex is ever
-built.
+2-cells come in two kinds: discs counted by blocks, and discs counted
+by cycles of sigma^-1 tau within each generator.  Every letter junction
+meets exactly two edge ends, so the sigma and tau edges form a 2-regular
+graph on the junctions, and the blocks are its cycles: ``_lay`` counts
+them as it closes them.  Only those two counts matter: Euler
+characteristic = blocks + cycles - 2L, so no complex is ever built.
 """
 
 from __future__ import annotations
@@ -50,11 +51,22 @@ class OccurrenceTable:
     the cyclically preceding letter in the same word.  Empty words
     contribute no letters but are remembered: each one caps off a disc,
     adding 1 to every Euler characteristic.
+
+    Junction x sits after letter x and has two slots, one per edge end:
+    slot 2x, the end of letter x, and slot 2x + 1, the start of the
+    letter after it.  Generator i's sigma edges run from ``sigma_src[i]``
+    (the starts of its positive letters) to ``sigma_tgt[i]`` (the ends of
+    its negative ones), and its tau edges from ``tau_src[i]`` (the ends of
+    the positive letters) to ``tau_tgt[i]`` (the starts of the negative
+    ones); positive end k meets negative end sigma(k), or tau(k).  Slot s
+    has kind ``kind[s]``: 4i plus 0 to 3 in that order, so the two kinds
+    an edge joins differ in bit 0 alone.  ``bare`` is the path-end array
+    before any edge is laid, with each junction one open path.
     """
 
     __slots__ = (
-        "rank", "num_words", "num_empty", "prev",
-        "pos_ids", "neg_ids", "pos_prev", "neg_prev",
+        "rank", "num_words", "num_empty", "prev", "pos_ids", "neg_ids",
+        "sigma_src", "sigma_tgt", "tau_src", "tau_tgt", "kind", "bare",
         "counts", "L", "num_letters", "active",
     )
 
@@ -78,12 +90,19 @@ class OccurrenceTable:
         self.prev = tuple(prev)
         self.pos_ids = tuple(tuple(v) for v in pos_ids)
         self.neg_ids = tuple(tuple(v) for v in neg_ids)
-        self.pos_prev = tuple(
-            tuple(prev[g] for g in gens) for gens in self.pos_ids
-        )
-        self.neg_prev = tuple(
-            tuple(prev[g] for g in gens) for gens in self.neg_ids
-        )
+        self.sigma_src = tuple(tuple(2 * prev[g] + 1 for g in v) for v in self.pos_ids)
+        self.sigma_tgt = tuple(tuple(2 * g for g in v) for v in self.neg_ids)
+        self.tau_src = tuple(tuple(2 * g for g in v) for v in self.pos_ids)
+        self.tau_tgt = tuple(tuple(2 * prev[g] + 1 for g in v) for v in self.neg_ids)
+        kind = [0] * (2 * gid)
+        for i, sides in enumerate(
+            zip(self.sigma_src, self.sigma_tgt, self.tau_src, self.tau_tgt)
+        ):
+            for j, side in enumerate(sides):
+                for s in side:
+                    kind[s] = 4 * i + j
+        self.kind = tuple(kind)
+        self.bare = tuple(s ^ 1 for s in range(2 * gid))
         self.counts = tuple(len(v) for v in self.pos_ids)
         self.L = sum(self.counts)
         self.num_letters = gid
@@ -118,26 +137,27 @@ def occurrences(t: WordTuple) -> OccurrenceTable:
     return OccurrenceTable(t)
 
 
-def _link(parent: list[int], sources, targets, images) -> int:
-    """Join sources[k] with targets[images[k]] for each k; return the merges.
+def _lay(other: list[int], sources, targets, images) -> int:
+    """Lay an edge from sources[k] to targets[images[k]] for each k.
 
-    The union-find over letter junctions that every sigma, tau and pi
-    edge set of the scans goes through, with path halving.  The diagonal
-    search takes edges back, so it uses ``diagonal._Junctions`` instead.
+    ``other[s]`` is the far free end of the open path at free slot s.  An
+    edge between the two ends of one path closes a cycle; any other edge
+    joins two paths into one, whose far ends now point at each other.
+    Returns the cycles closed.  Every sigma, tau and pi edge set of the
+    scans goes through here; the diagonal search takes its edges back,
+    so it lays them with ``diagonal._join`` instead.
     """
-    merges = 0
+    closed = 0
     for a, v in zip(sources, images):
         b = targets[v]
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-            merges += 1
-    return merges
+        oa = other[a]
+        if oa == b:
+            closed += 1
+        else:
+            ob = other[b]
+            other[oa] = ob
+            other[ob] = oa
+    return closed
 
 
 def _cycle_lengths(a, b) -> list[int]:
@@ -160,22 +180,13 @@ def _cycle_lengths(a, b) -> list[int]:
     return lengths
 
 
-def _sigma_partition(occ: OccurrenceTable, sigma_parts) -> tuple[list[int], int]:
-    """Union-find parents after the sigma edges alone, and the merge count.
-
-    The parents are flattened, so copies made per tau resolve every node
-    in one hop until the tau edges merge further.
-    """
-    parent = list(range(occ.num_letters))
-    merges = 0
+def _sigma_paths(occ: OccurrenceTable, sigma_parts) -> tuple[list[int], int]:
+    """The path ends after the sigma edges alone, and the cycles they close."""
+    other = list(occ.bare)
+    closed = 0
     for i, sp in zip(occ.active, sigma_parts):
-        merges += _link(parent, occ.pos_prev[i], occ.neg_ids[i], sp)
-    for v in range(len(parent)):
-        r = v
-        while parent[r] != r:
-            r = parent[r]
-        parent[v] = r
-    return parent, merges
+        closed += _lay(other, occ.sigma_src[i], occ.sigma_tgt[i], sp)
+    return other, closed
 
 
 def euler_char(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
@@ -183,25 +194,25 @@ def euler_char(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
 
 
 def _euler(
-    occ: OccurrenceTable, sigma: Matching, tau: Matching, partitions: dict
+    occ: OccurrenceTable, sigma: Matching, tau: Matching, sigma_paths: dict
 ) -> int:
     """Euler characteristic of a pair of valid full matchings.
 
-    blocks + cycles - L_total + #empty, with blocks = L_total - merges.
-    ``partitions`` memoises ``_sigma_partition`` by sigma, so a search
-    that meets one sigma with many taus runs only the tau side for each.
+    blocks + cycles - num_letters + #empty, where num_letters = 2L.
+    ``sigma_paths`` memoises ``_sigma_paths`` by sigma, so a search that
+    meets one sigma with many taus runs only the tau side for each.
     """
-    frozen = partitions.get(sigma)
+    frozen = sigma_paths.get(sigma)
     if frozen is None:
-        frozen = _sigma_partition(occ, [sigma[i] for i in occ.active])
-        partitions[sigma] = frozen
-    parent = frozen[0].copy()
-    merges = frozen[1]
+        frozen = _sigma_paths(occ, [sigma[i] for i in occ.active])
+        sigma_paths[sigma] = frozen
+    other = frozen[0].copy()
+    blocks = frozen[1]
     cycles = 0
     for i in occ.active:
-        merges += _link(parent, occ.pos_ids[i], occ.neg_prev[i], tau[i])
+        blocks += _lay(other, occ.tau_src[i], occ.tau_tgt[i], tau[i])
         cycles += len(_cycle_lengths(sigma[i], tau[i]))
-    return cycles - merges + occ.num_empty
+    return blocks + cycles + occ.num_empty - occ.num_letters
 
 
 @dataclass(frozen=True)
@@ -286,12 +297,12 @@ def _level_set(
     """
     seen = set(starts)
     queue = deque(seen)
-    partitions: dict = {}
+    sigma_paths: dict = {}
     while queue:
         for nxt in _transposition_neighbours(queue.popleft()):
             if nxt in seen:
                 continue
-            value = _euler(occ, *nxt, partitions)
+            value = _euler(occ, *nxt, sigma_paths)
             if value > chi:
                 return None
             if value == chi:
@@ -364,25 +375,26 @@ def _summed_scan(
     that of pi, read from one list per generator, and tau's edge from
     positive end k goes to negative end sigma(pi(k)).  The summed
     generator g* is the active one with the most occurrences.  For each
-    sigma and each pi over the other generators the union-find runs as in
-    the per-pair test oracle ``_scan``; its partition matters to g*'s
-    edges only through the blocks of g*'s 2c tau-endpoints, read in that
-    order and reduced to first-appearance labels (the boundary pattern).  A memo keyed on the
-    pattern holds the histogram of (cycle type of pi_g*, extra merges)
-    over all pi_g*, so the loop runs prod(c_i!)^2 / c_g*! times.
+    sigma and each pi over the other generators every edge but g*'s tau
+    edges is laid, as in the per-pair test oracle ``_scan``.  The only
+    free slots left are g*'s 2c tau ends, so the path ends pair them up:
+    read in the order sources, then targets, the index of each one's
+    partner is the boundary pattern.  A memo keyed on the pattern holds
+    the histogram of (cycle type of pi_g*, cycles its edges close) over
+    all pi_g*, so the loop runs prod(c_i!)^2 / c_g*! times.
     ``sigma_range`` slices the sigma enumeration, in lexicographic order.
     """
     active = occ.active
     if not active:
-        return {((), occ.num_letters): 1}
+        return {((), 0): 1}
     n_act = len(active)
     sizes = [occ.counts[i] for i in active]
     star = max(range(n_act), key=sizes.__getitem__)
     rest = [gi for gi in range(n_act) if gi != star]
     perms = [list(itertools.permutations(range(c))) for c in sizes]
     types = [[Permutation(p).cycle_type() for p in ps] for ps in perms]
-    pos_ids = [occ.pos_ids[i] for i in active]
-    neg_prev = [occ.neg_prev[i] for i in active]
+    tau_src = [occ.tau_src[i] for i in active]
+    tau_tgt = [occ.tau_tgt[i] for i in active]
     # pi over the other generators: (pi per generator, their cycle types)
     pis = [
         ([p for p, _ in combo], tuple(mu for _, mu in combo))
@@ -392,46 +404,43 @@ def _summed_scan(
     sigma_iter = itertools.product(*perms)
     if sigma_range is not None:
         sigma_iter = itertools.islice(sigma_iter, *sigma_range)
-    # (other types, pattern, blocks before g*'s tau edges) -> pairs
+    where = [0] * len(occ.bare)
+    # (other types, pattern, cycles before g*'s tau edges) -> pairs
     partial: dict[tuple, int] = {}
     for sigma_parts in sigma_iter:
-        parent0, count0 = _sigma_partition(occ, sigma_parts)
-        blocks0 = occ.num_letters - count0
-        # negative tau-end j of each generator is neg_prev at sigma(j)
+        other0, closed0 = _sigma_paths(occ, sigma_parts)
+        # the tau target of negative end j is tau_tgt at sigma(j)
         targets = [
-            [neg_prev[gi][v] for v in sigma_parts[gi]] for gi in range(n_act)
+            [tau_tgt[gi][v] for v in sigma_parts[gi]] for gi in range(n_act)
         ]
-        edges = [(pos_ids[gi], targets[gi]) for gi in rest]
-        ends = pos_ids[star] + tuple(targets[star])
+        edges = [(tau_src[gi], targets[gi]) for gi in rest]
+        ends = tau_src[star] + tuple(targets[star])
+        for index, s in enumerate(ends):
+            where[s] = index
 
         for pi_parts, pi_types in pis:
-            parent = parent0.copy()
-            merges = 0
-            for (po, tg), p in zip(edges, pi_parts):
-                merges += _link(parent, po, tg, p)
-            labels: dict[int, int] = {}
-            pattern = []
-            for v in ends:
-                while parent[v] != v:
-                    v = parent[v]
-                pattern.append(labels.setdefault(v, len(labels)))
-            key = (pi_types, tuple(pattern), blocks0 - merges)
+            other = other0.copy()
+            closed = closed0
+            for (src, tgt), p in zip(edges, pi_parts):
+                closed += _lay(other, src, tgt, p)
+            key = (pi_types, tuple([where[other[s]] for s in ends]), closed)
             partial[key] = partial.get(key, 0) + 1
 
     c_star = sizes[star]
+    # pattern indices: g*'s tau sources first, then its tau targets
+    src_index, tgt_index = range(c_star), range(c_star, 2 * c_star)
     hist_of: dict[tuple[int, ...], dict[tuple[Partition, int], int]] = {}
     counts: dict[tuple[tuple[Partition, ...], int], int] = {}
     for (others, pattern, blocks), count in partial.items():
         hist = hist_of.get(pattern)
         if hist is None:
             hist = {}
-            sources, targets = pattern[:c_star], pattern[c_star:]
             for p, mu in zip(perms[star], types[star]):
-                extra = _link(list(range(len(pattern))), sources, targets, p)
+                extra = _lay(list(pattern), src_index, tgt_index, p)
                 hist[mu, extra] = hist.get((mu, extra), 0) + 1
             hist_of[pattern] = hist
         for (mu, extra), m in hist.items():
-            key = (others[:star] + (mu,) + others[star:], blocks - extra)
+            key = (others[:star] + (mu,) + others[star:], blocks + extra)
             counts[key] = counts.get(key, 0) + count * m
     return counts
 

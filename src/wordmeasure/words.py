@@ -131,10 +131,10 @@ class WordTuple:
     def __post_init__(self) -> None:
         object.__setattr__(self, "words", tuple(self.words))
         used = max((w.max_generator for w in self.words), default=0)
-        if self.rank < used:
-            raise RankError(f"rank {self.rank} < largest generator index {used}")
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
+        if self.rank < used:
+            raise RankError(f"rank {self.rank} < largest generator index {used}")
 
     def __len__(self) -> int:
         return len(self.words)

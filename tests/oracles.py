@@ -29,9 +29,6 @@ from wordmeasure.surfaces import (
     MatchingPair,
     OccurrenceTable,
     PairCapExceeded,
-    _cycle_lengths,
-    _link,
-    _sigma_partition,
 )
 from wordmeasure.weingarten import WeingartenTable, _pmul
 from wordmeasure.words import WordTuple
@@ -49,6 +46,46 @@ def enumerate_matchings(occ: OccurrenceTable) -> Iterator[Matching]:
         yield parts
 
 
+# oracle helper: a plain union-find over letter junctions
+def _union(parent: list[int], a: int, b: int) -> int:
+    """Merge the blocks of a and b; 1 if they were apart, else 0."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    while parent[b] != b:
+        parent[b] = parent[parent[b]]
+        b = parent[b]
+    if a == b:
+        return 0
+    parent[a] = b
+    return 1
+
+
+def _junction_edges(occ: OccurrenceTable) -> list[tuple[tuple, tuple, tuple, tuple]]:
+    """Per active generator, the junctions its sigma and tau edges join.
+
+    Junction g sits after letter g.  Positive end k's sigma edge runs
+    from the junction before it to the junction after negative end
+    sigma(k), and its tau edge from the junction after it to the
+    junction before negative end tau(k).
+    """
+    prev = occ.prev
+    return [
+        (
+            tuple(prev[g] for g in occ.pos_ids[i]),
+            occ.neg_ids[i],
+            occ.pos_ids[i],
+            tuple(prev[g] for g in occ.neg_ids[i]),
+        )
+        for i in occ.active
+    ]
+
+
+def _merges(parent: list[int], sources, targets, images) -> int:
+    """Union sources[k] with targets[images[k]] for each k; return the merges."""
+    return sum(_union(parent, a, targets[v]) for a, v in zip(sources, images))
+
+
 # oracle for class_counts and pair_statistics: every pair, one at a time
 def _scan(
     occ: OccurrenceTable, cap: int
@@ -61,27 +98,34 @@ def _scan(
     turn checked against ``block_count`` and ``cycle_types``.
     The parts tuples range over active generators only; use
     ``occ.expand`` to recover full matchings.  The sigma-side merges are
-    frozen into a flattened parent array once per sigma and copied per
-    tau, so the inner loop does only the tau unions and cycle walks.
+    made once per sigma and their parent array copied per tau, and the
+    cycle type of each pair of image vectors is composed once.
     """
     total = occ.pair_count()
     if total > cap:
         raise PairCapExceeded(total, cap)
-    pos_ids = [occ.pos_ids[i] for i in occ.active]
-    neg_prev = [occ.neg_prev[i] for i in occ.active]
+    edges = _junction_edges(occ)
     perms = [list(itertools.permutations(range(occ.counts[i]))) for i in occ.active]
+    types_of: dict[tuple[tuple, tuple], Partition] = {}
+
+    def cycle_type(sp: tuple, tp: tuple) -> Partition:
+        mu = types_of.get((sp, tp))
+        if mu is None:
+            mu = (Permutation(sp).inverse() * Permutation(tp)).cycle_type()
+            types_of[sp, tp] = mu
+        return mu
 
     for sigma_parts in itertools.product(*perms):
-        parent0, count0 = _sigma_partition(occ, sigma_parts)
+        parent0 = list(range(occ.num_letters))
+        count0 = 0
+        for (pp, ng, _, _), sp in zip(edges, sigma_parts):
+            count0 += _merges(parent0, pp, ng, sp)
         for tau_parts in itertools.product(*perms):
             parent = parent0.copy()
             merges = 0
-            for po, np_, tp in zip(pos_ids, neg_prev, tau_parts):
-                merges += _link(parent, po, np_, tp)
-            types = tuple(
-                tuple(sorted(_cycle_lengths(sp, tp), reverse=True))
-                for sp, tp in zip(sigma_parts, tau_parts)
-            )
+            for (_, _, po, np_), tp in zip(edges, tau_parts):
+                merges += _merges(parent, po, np_, tp)
+            types = tuple(map(cycle_type, sigma_parts, tau_parts))
             yield (
                 sigma_parts,
                 tau_parts,
@@ -111,12 +155,13 @@ def block_count(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
             v = parent[v]
         return v
 
+    prev = occ.prev
     merges = 0
     for i in occ.active:
         for k in range(occ.counts[i]):
             for a, b in (
-                (occ.pos_prev[i][k], occ.neg_ids[i][sigma[i][k]]),
-                (occ.pos_ids[i][k], occ.neg_prev[i][tau[i][k]]),
+                (prev[occ.pos_ids[i][k]], occ.neg_ids[i][sigma[i][k]]),
+                (occ.pos_ids[i][k], prev[occ.neg_ids[i][tau[i][k]]]),
             ):
                 ra, rb = find(a), find(b)
                 if ra != rb:
@@ -165,10 +210,7 @@ def _diagonal_scan(occ: OccurrenceTable) -> Iterator[tuple[tuple, int]]:
     matching.  The parts range over active generators, in ``_scan``'s
     sigma order.
     """
-    edges = [
-        (occ.pos_prev[i], occ.neg_ids[i], occ.pos_ids[i], occ.neg_prev[i])
-        for i in occ.active
-    ]
+    edges = _junction_edges(occ)
     # chi(sigma, sigma) = B - L + #empty: all L z-discs are fixed points
     shift = occ.num_empty - occ.L
     for parts in itertools.product(
@@ -177,7 +219,7 @@ def _diagonal_scan(occ: OccurrenceTable) -> Iterator[tuple[tuple, int]]:
         parent = list(range(occ.num_letters))
         merges = 0
         for (pp, ng, po, np_), sp in zip(edges, parts):
-            merges += _link(parent, pp, ng, sp) + _link(parent, po, np_, sp)
+            merges += _merges(parent, pp, ng, sp) + _merges(parent, po, np_, sp)
         yield parts, occ.num_letters - merges + shift
 
 

@@ -370,6 +370,12 @@ def test_rank_of_the_empty_word(capsys, flags, rank):
     assert json.loads(out)["rank"] == rank
 
 
+@pytest.mark.parametrize("command", ["trace", "chi", "classes"])
+def test_negative_rank_is_named(capsys, command):
+    code, out, err = run(capsys, command, "-w", "", "--rank", "-1")
+    assert (code, out, err) == (1, "", "error: rank must be nonnegative\n")
+
+
 def test_non_integer_rank_header_names_the_file(capsys, tmp_path):
     path = tmp_path / "words.txt"
     path.write_text("rank=abc\n[x,y]\n")

@@ -5,15 +5,15 @@ import random
 import pytest
 
 from wordmeasure import surfaces
-from wordmeasure.diagonal import _Junctions
+from wordmeasure.diagonal import _join, _unjoin
 from wordmeasure.perm import Permutation
 from wordmeasure.solutions import is_incompressible
 from wordmeasure.surfaces import (
     PairCapExceeded,
     UnbalancedError,
     _cycle_lengths,
+    _lay,
     _level_set,
-    _link,
     commutator_length,
     diagonal_max_euler,
     euler_char,
@@ -257,6 +257,21 @@ def test_matching_validation():
         occ.check_matching(((0, 1),))
 
 
+def _components(n, edges):
+    """Component labels of n junctions under slot edges, by naive relabelling."""
+    label = list(range(n))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in edges:
+            a, b = a // 2, b // 2
+            low = min(label[a], label[b])
+            if label[a] != low or label[b] != low:
+                label[a] = label[b] = low
+                changed = True
+    return label
+
+
 class TestPrimitives:
     def test_cycle_lengths_match_permutation_cycle_type(self):
         for L in range(5):
@@ -264,90 +279,84 @@ class TestPrimitives:
                 expected = (Permutation(a).inverse() * Permutation(b)).cycle_type()
                 assert tuple(sorted(_cycle_lengths(a, b), reverse=True)) == expected
 
-    def test_link_merges_match_connected_components(self):
+    def test_lay_closes_the_cycles_of_a_component_recount(self):
+        # junction x has slots 2x and 2x + 1; lay random edges between
+        # distinct free slots in batches, then recount the components
         rng = random.Random(5)
-        for _ in range(200):
+        for _ in range(300):
             n = rng.randrange(1, 12)
-            parent = list(range(n))
-            merges = 0
+            other = [s ^ 1 for s in range(2 * n)]
+            free = list(range(2 * n))
+            rng.shuffle(free)
+            closed = 0
             edges = []
             for _ in range(rng.randrange(1, 4)):
-                k = rng.randrange(0, n + 1)
-                sources = [rng.randrange(n) for _ in range(k)]
-                targets = [rng.randrange(n) for _ in range(k)]
+                k = rng.randrange(0, len(free) // 2 + 1)
+                sources, targets = free[:k], free[k:2 * k]
+                del free[:2 * k]
                 images = rng.sample(range(k), k)
-                merges += _link(parent, sources, targets, images)
+                closed += _lay(other, sources, targets, images)
                 edges += [(a, targets[v]) for a, v in zip(sources, images)]
-            # naive components: relabel until every edge joins equal labels
-            label = list(range(n))
-            changed = True
-            while changed:
-                changed = False
-                for a, b in edges:
-                    low = min(label[a], label[b])
-                    if label[a] != low or label[b] != low:
-                        label[a] = label[b] = low
-                        changed = True
-            assert merges == n - len(set(label))
+            label = _components(n, edges)
+            open_paths = {label[s // 2] for s in free}
+            assert closed + len(open_paths) == len(set(label))
+            assert 2 * len(open_paths) == len(free)
+            for s in free:
+                assert other[s] in free and other[s] != s
+                assert label[other[s] // 2] == label[s // 2]
 
-    def test_junctions_track_open_ends_and_undo_exactly(self, golden_tuples):
+    def test_diagonal_join_tracks_the_potential_and_unjoin_restores(
+        self, golden_tuples
+    ):
         # lay the diagonal edges of a random matching one by one, check the
-        # potential and the roots' sizes and free ends against a recount,
-        # then undo to random marks and compare with the snapshots there
+        # potential and the path ends against a recount, then unjoin back
+        # to random marks and compare with the snapshots there
         rng = random.Random(11)
         tuples = [*golden_tuples.values(), XY2, ANNULUS, parse_tuple(["[x,y]", "YX", "xy"], 2)]
         for t in tuples * 4:
             occ = occurrences(t.cyclically_reduced())
-            uf = _Junctions(occ)
-            half_edges = {(x, kind) for x, pair in enumerate(uf.ends) for kind in pair}
-            potential = -sum((p ^ q) == 1 for p, q in uf.ends)
+            other = list(occ.bare)
+            kind = occ.kind
+            potential = -sum((kind[s] ^ kind[s + 1]) == 1 for s in range(0, len(kind), 2))
             laid, snapshots = [], []
             slots = [(i, k) for i in occ.active for k in range(occ.counts[i])]
             rng.shuffle(slots)
             images = {i: rng.sample(range(c), c) for i, c in enumerate(occ.counts)}
             for i, k in slots:
                 v = images[i][k]
-                # kinds 4i + 0..3: sigma source and target, tau source and target
-                for a, ka, b, kb in (
-                    (occ.pos_prev[i][k], 4 * i, occ.neg_ids[i][v], 4 * i + 1),
-                    (occ.pos_ids[i][k], 4 * i + 2, occ.neg_prev[i][v], 4 * i + 3),
+                for a, b in (
+                    (occ.sigma_src[i][k], occ.sigma_tgt[i][v]),
+                    (occ.tau_src[i][k], occ.tau_tgt[i][v]),
                 ):
-                    snapshots.append((len(uf.log), list(uf.parent), list(uf.size), list(uf.ends)))
-                    potential += uf.join(a, ka, b, kb)
-                    laid.append(((a, ka), (b, kb)))
-                    assert potential == self._recount(occ, uf, half_edges, laid)
+                    snapshots.append((len(laid), list(other)))
+                    potential += _join(other, kind, a, b)
+                    laid.append((a, b))
+                    assert potential == self._recount(occ, other, laid)
             marks = rng.sample(range(len(snapshots)), min(3, len(snapshots)))
             for index in sorted({0, *marks}, reverse=True):
-                mark, parent, size, ends = snapshots[index]
-                uf.undo(mark)
-                assert (uf.parent, uf.size, uf.ends) == (parent, size, ends)
+                mark, before = snapshots[index]
+                while len(laid) > mark:
+                    _unjoin(other, *laid.pop())
+                assert other == before
 
     @staticmethod
-    def _recount(occ, uf, half_edges, laid):
-        """2 * merges - closable open paths, and each root's ends, recounted."""
-        label = list(range(occ.num_letters))
-        changed = True
-        while changed:
-            changed = False
-            for (a, _), (b, _) in laid:
-                low = min(label[a], label[b])
-                if label[a] != low or label[b] != low:
-                    label[a] = label[b] = low
-                    changed = True
-        used = {end for edge in laid for end in edge}
+    def _recount(occ, other, laid):
+        """2 * merges - closable open paths, recounted; checks the path ends."""
+        n = occ.num_letters
+        label = _components(n, laid)
+        used = {s for edge in laid for s in edge}
         free = {}
-        for x, kind in half_edges - used:
-            free.setdefault(label[x], []).append(kind)
-        for x in range(occ.num_letters):
-            root = x
-            while uf.parent[root] != root:
-                root = uf.parent[root]
-            members = sum(1 for y in range(occ.num_letters) if label[y] == label[x])
-            assert uf.size[root] == members
-            if x == root and label[x] in free:
-                assert sorted(uf.ends[root]) == sorted(free[label[x]])
-        merges = occ.num_letters - len(set(label))
-        closable = sum(1 for kinds in free.values() if (kinds[0] ^ kinds[1]) == 1)
+        for s in range(2 * n):
+            if s not in used:
+                free.setdefault(label[s // 2], []).append(s)
+        for ends in free.values():
+            assert len(ends) == 2
+            a, b = ends
+            assert (other[a], other[b]) == (b, a)
+        merges = n - len(set(label))
+        closable = sum(
+            1 for a, b in free.values() if (occ.kind[a] ^ occ.kind[b]) == 1
+        )
         return 2 * merges - closable
 
     def test_level_set_is_none_exactly_when_compressible(self, golden_tuples):

@@ -1,8 +1,9 @@
+import itertools
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wordmeasure import trace
@@ -11,6 +12,7 @@ from wordmeasure.ratfn import RationalFunction
 from wordmeasure.surfaces import (
     PairCapExceeded,
     class_counts,
+    commutator_length,
     diagonal_max_euler,
     occurrences,
     pair_statistics,
@@ -85,6 +87,27 @@ def _assert_invariant(t):
     ]
     for m in moved:
         assert _invariants(m) == expected, (str(t), str(m))
+
+
+def _nielsen(t, i, j, e, left):
+    """t under the automorphism x_i -> x_j^e x_i (left) or x_i x_j^e."""
+    image = [Letter(j, e), Letter(i, 1)] if left else [Letter(i, 1), Letter(j, e)]
+    inverse = [let.inverse() for let in reversed(image)]
+    words = []
+    for w in t.words:
+        letters = []
+        for let in w:
+            if let.gen != i:
+                letters.append(let)
+            else:
+                letters += image if let.sign > 0 else inverse
+        words.append(Word(letters))
+    return WordTuple(tuple(words), t.rank).cyclically_reduced()
+
+
+def _nielsen_invariants(t):
+    """``_invariants``, and the commutator length of each word."""
+    return (*_invariants(t), tuple(commutator_length(w, rank=t.rank) for w in t.words))
 
 
 class TestExactValues:
@@ -166,6 +189,49 @@ class TestExactValues:
         t = word_tuple([Word(w) for w in words], rank)
         if occurrences(t.cyclically_reduced()).pair_count() <= INVARIANCE_PAIRS:
             _assert_invariant(t)
+
+    def test_golden_invariance_under_single_nielsen_moves(self, golden_tuples):
+        moved = 0
+        for t in golden_tuples.values():
+            if occurrences(t).pair_count() > INVARIANCE_PAIRS:
+                continue
+            expected = _nielsen_invariants(t)
+            for i, j in itertools.permutations(range(1, t.rank + 1), 2):
+                for e, left in itertools.product((1, -1), (False, True)):
+                    m = _nielsen(t, i, j, e, left)
+                    if m != t and occurrences(m).pair_count() <= INVARIANCE_PAIRS:
+                        assert _nielsen_invariants(m) == expected, (str(t), str(m))
+                        moved += 1
+        assert moved > 50
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_invariance_under_nielsen_moves(self, data):
+        # x_i -> x_i x_j^+-1 or x_j^+-1 x_i for an x_i that occurs, each
+        # move kept only while the tuple stays within INVARIANCE_PAIRS; the
+        # words need not be balanced one by one, so a cl may be infinite
+        rank = data.draw(st.integers(2, 3))
+        letter = st.builds(Letter, st.integers(1, rank), st.sampled_from((1, -1)))
+        words = data.draw(
+            st.lists(st.lists(letter, min_size=1, max_size=5), min_size=1, max_size=2)
+        )
+        for gen in range(1, rank + 1):
+            excess = sum(let.sign for w in words for let in w if let.gen == gen)
+            words[0] = words[0] + [Letter(gen, -1 if excess > 0 else 1)] * abs(excess)
+        t = word_tuple([Word(w) for w in words], rank).cyclically_reduced()
+        assume(any(t.words) and occurrences(t).pair_count() <= INVARIANCE_PAIRS)
+        moved = t
+        for _ in range(data.draw(st.integers(1, 4))):
+            present = sorted({let.gen for w in moved.words for let in w})
+            if not present:
+                break
+            i = data.draw(st.sampled_from(present))
+            j = data.draw(st.sampled_from([g for g in range(1, rank + 1) if g != i]))
+            e, left = data.draw(st.sampled_from((1, -1))), data.draw(st.booleans())
+            step = _nielsen(moved, i, j, e, left)
+            if occurrences(step).pair_count() <= INVARIANCE_PAIRS:
+                moved = step
+        assert _nielsen_invariants(moved) == _nielsen_invariants(t), (str(t), str(moved))
 
     def test_multiplicative_on_disjoint_generators(self):
         # trace(w1 w2) = trace(w1) trace(w2) / n for disjoint generator sets
