@@ -98,10 +98,6 @@ def norm(p: Permutation) -> int:
     return p.size - p.num_cycles()
 
 
-def sign(p: Permutation) -> int:
-    return -1 if norm(p) % 2 else 1
-
-
 def leq(s: Permutation, t: Permutation) -> bool:
     """Absolute order: some geodesic of transpositions to t passes via s."""
     if s.size != t.size:

@@ -2,7 +2,8 @@
 
 The pair enumeration of ``surfaces`` is grouped by (cycle types, block
 count), and the classes by cycle types, so each distinct Weingarten
-product is taken once; the hot loop touches only integers.
+product is taken once, by a single ``weingarten.wg_sum`` call; the hot
+loop touches only integers.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .perm import Partition, mobius_of_cycle_type, partitions
-from .ratfn import ONE, ZERO, LaurentSeries, Polynomial, RationalFunction, poly_gcd
+from .perm import mobius_of_cycle_type, partitions
+from .ratfn import LaurentSeries, RationalFunction
 from .surfaces import (
     DEFAULT_PAIR_CAP,
     OccurrenceTable,
@@ -20,7 +21,7 @@ from .surfaces import (
     diagonal_max_euler,
     occurrences,
 )
-from .weingarten import wg
+from .weingarten import wg_sum
 from .words import Word, WordTuple, word_tuple
 
 DEFAULT_LAURENT_TERMS = 8
@@ -90,34 +91,16 @@ def _assemble(occ: OccurrenceTable, counts: dict, laurent_terms: int) -> TraceRe
 
     Counts are grouped by cycle types first, so each type tuple
     contributes one Weingarten product against the polynomial
-    sum of count * n^(blocks + #empty).  The products are summed over a
-    common denominator, the product over generators of the lcm of the
-    wg denominators met there, so only the final quotient is reduced.
+    sum of count * n^(blocks + #empty).  ``wg_sum`` adds the products
+    over the Weingarten tables' own denominators and reduces once.
     """
     by_types: dict[tuple, list[int]] = {}
     for (types, blocks), count in counts.items():
         coeffs = by_types.setdefault(types, [])
         degree = blocks + occ.num_empty
-        if len(coeffs) <= degree:
-            coeffs.extend([0] * (degree + 1 - len(coeffs)))
+        coeffs.extend([0] * (degree + 1 - len(coeffs)))
         coeffs[degree] += count
-    # per generator, wg(mu) as a numerator over that generator's lcm
-    scaled: list[dict[Partition, Polynomial]] = []
-    den = ONE
-    for mus in map(set, zip(*by_types)):
-        lcm = ONE
-        for mu in mus:
-            d = wg(mu).den
-            lcm = (lcm * d).exact_div(poly_gcd(lcm, d))
-        scaled.append({mu: wg(mu).num * lcm.exact_div(wg(mu).den) for mu in mus})
-        den = den * lcm
-    num = ZERO
-    for types, coeffs in by_types.items():
-        term = Polynomial(coeffs)
-        for mu, numerators in zip(types, scaled):
-            term = term * numerators[mu]
-        num = num + term
-    total = RationalFunction(num, den)
+    total = wg_sum([occ.counts[i] for i in occ.active], by_types)
     threshold = max(occ.counts, default=1)
     laurent = total.laurent_at_infinity(laurent_terms)
     parity_ok = all(

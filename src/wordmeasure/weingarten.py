@@ -1,9 +1,12 @@
 """The unitary Weingarten function as an exact rational function of n.
 
 Values come from the character formula, all cycle types of one L at
-once over a common denominator.  The tests check them against an
-independent route, direct inversion of sigma -> n^#cycles(sigma) in the
-group ring (``wg_inversion`` in ``tests/oracles.py``).
+once as integer numerators over one denominator L! * D_L.  ``wg_sum``
+adds weighted Weingarten products over those same denominators and
+reduces once, so only this module knows them.  The tests check the
+values against an independent route, direct inversion of
+sigma -> n^#cycles(sigma) in the group ring (``wg_inversion`` in
+``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .perm import (
     Partition,
@@ -32,7 +35,7 @@ def wg(mu: Partition) -> RationalFunction:
     dim(lambda) * chi_lambda(mu) / (L! * prod of (n + j - i)).
     """
     mu = check_partition(sorted(mu, reverse=True))
-    return _wg_values(sum(mu))[mu]
+    return _wg_values(sum(mu))[0][mu]
 
 
 @dataclass(frozen=True)
@@ -50,18 +53,36 @@ def wg_table(L: int) -> WeingartenTable:
     """Table computed through the character formula."""
     if L < 0:
         raise ValueError(f"L must be nonnegative, got {L}")
-    return WeingartenTable(L, dict(_wg_values(L)))
+    return WeingartenTable(L, dict(_wg_values(L)[0]))
+
+
+def wg_sum(sizes: list[int], weights: dict[tuple[Partition, ...], list[int]]) -> RationalFunction:
+    """Exact sum of weights[key](n) * prod_i wg(key[i]) over all keys.
+
+    ``key[i]`` is a cycle type of ``sizes[i]``; a weight lists integer
+    coefficients, index = degree.  All products are integer numerators
+    over the product of the tables' denominators L! * D_L: one reduction.
+    """
+    tables = [_wg_values(L) for L in sizes]
+    num: list[int] = []
+    for key, weight in weights.items():
+        for mu, (_, _, nums) in zip(key, tables, strict=True):
+            weight = _pmul(weight, nums[mu])
+        num = [a + b for a, b in itertools.zip_longest(num, weight, fillvalue=0)]
+    den = reduce(_pmul, [table[1] for table in tables], [1])
+    return RationalFunction(Polynomial(num), Polynomial(den))
 
 
 @lru_cache(maxsize=16)
-def _wg_values(L: int) -> dict[Partition, RationalFunction]:
+def _wg_values(L: int) -> tuple[dict[Partition, RationalFunction], tuple[int, ...], dict]:
     """wg(mu) for every partition mu of L, in ``partitions`` order.
 
     Every lambda term is written over D, the lcm of the content
     polynomials: the product over contents c of (n + c) to the largest
-    number of cells of content c in any diagram.  Then each value is
-    one integer numerator sum over L! * D, reduced once.  The dict is
-    shared by every caller; ``wg_table`` hands out copies.
+    number of cells of content c in any diagram.  So each value is one
+    integer numerator over L! * D.  Returns the reduced values, then L! * D
+    and the numerators as integer coefficient tuples, all shared by every
+    caller; ``wg_table`` hands out copies.
     """
     lams = list(partitions(L))
     contents = [
@@ -79,18 +100,19 @@ def _wg_values(L: int) -> dict[Partition, RationalFunction]:
         return poly
 
     cofactors = [linear_product(top - cells) for cells in contents]
-    den = Polynomial([math.factorial(L) * a for a in linear_product(top)])
+    den = tuple(math.factorial(L) * a for a in linear_product(top))
     dims = [dimension(lam) for lam in lams]
-    values = {}
+    values, nums = {}, {}
     for mu in lams:
-        num = [0] * len(den.coeffs)
+        num = [0] * len(den)
         for lam, dim, cofactor in zip(lams, dims, cofactors):
             coef = dim * character(lam, mu)
             if coef:
                 for k, a in enumerate(cofactor):
                     num[k] += coef * a
-        values[mu] = RationalFunction(Polynomial(num), den)
-    return values
+        nums[mu] = tuple(num)
+        values[mu] = RationalFunction(Polynomial(num), Polynomial(den))
+    return values, den, nums
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +160,5 @@ def moment(
 
     sigmas = matching_perms(i_lab, i_conj)
     taus = matching_perms(j_lab, j_conj)
-    total = RationalFunction.zero()
-    for sigma in sigmas:
-        sigma_inv = sigma.inverse()
-        for tau in taus:
-            total = total + wg((sigma_inv * tau).cycle_type())
-    return total
+    types = Counter((s.inverse() * t).cycle_type() for s in sigmas for t in taus)
+    return wg_sum([m], {(mu,): [count] for mu, count in types.items()})

@@ -277,8 +277,11 @@ def parse(text: str, rank: int | None) -> Word:
 
     Commutator brackets and integer powers are macros expanded at parse
     time; whitespace between terms is ignored.  Empty input denotes the
-    empty word.  A rank of None accepts every generator index.
+    empty word.  A rank of None accepts every generator index; a
+    negative rank is rejected before any generator is read.
     """
+    if rank is not None and rank < 0:
+        raise ValueError("rank must be nonnegative")
     parser = _Parser(text, rank)
     word = parser.parse_word()
     if parser.pos != len(text):

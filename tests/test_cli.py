@@ -371,9 +371,14 @@ def test_rank_of_the_empty_word(capsys, flags, rank):
 
 
 @pytest.mark.parametrize("command", ["trace", "chi", "classes"])
-def test_negative_rank_is_named(capsys, command):
-    code, out, err = run(capsys, command, "-w", "", "--rank", "-1")
-    assert (code, out, err) == (1, "", "error: rank must be nonnegative\n")
+def test_negative_rank_is_named(capsys, tmp_path, command):
+    path = tmp_path / "words.txt"
+    path.write_text("rank=-1\n[x,y]\n")
+    # the rank is checked before any generator is read against it
+    inputs = (["-w", "", "--rank", "-1"], ["-w", "x", "--rank", "-1"], ["--words-file", str(path)])
+    for args in inputs:
+        code, out, err = run(capsys, command, *args)
+        assert (code, out, err) == (1, "", "error: rank must be nonnegative\n"), args
 
 
 def test_non_integer_rank_header_names_the_file(capsys, tmp_path):
@@ -536,3 +541,19 @@ def test_benchmark_replay_wraps_and_runs_this_package(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (record["exit"], record["stdout"], record["stderr"]) == (0, out, err)
     assert (code, err) == (0, "")
+
+
+def _recorded_anchors() -> dict[str, str]:
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected.json")
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)["outputs"]
+
+
+ANCHORS = _recorded_anchors()
+
+
+@pytest.mark.parametrize("request_key", sorted(ANCHORS))
+def test_recorded_anchor_output_is_unchanged(capsys, request_key):
+    # the benchmark's anchors: each key is the argv joined by spaces
+    code, out, err = run(capsys, *request_key.split(" "))
+    assert (code, out, err) == (0, ANCHORS[request_key], "")

@@ -13,7 +13,6 @@ from wordmeasure.perm import (
     mobius,
     norm,
     partitions,
-    sign,
 )
 from wordmeasure.ratfn import Polynomial
 
@@ -185,5 +184,4 @@ class TestContentPolynomial:
 def test_cycle_type_and_sign():
     p = Permutation.from_cycles(5, [(0, 1, 2), (3, 4)])
     assert p.cycle_type() == (3, 2)
-    assert sign(p) == -1
     assert p.inverse().cycle_type() == (3, 2)

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordmeasure.perm import (
     character,
@@ -10,8 +12,10 @@ from wordmeasure.perm import (
 )
 from wordmeasure.ratfn import Polynomial, RationalFunction
 from wordmeasure.weingarten import (
+    _wg_values,
     moment,
     wg,
+    wg_sum,
     wg_table,
 )
 
@@ -199,3 +203,41 @@ def test_table_contains_all_classes():
     table = wg_table(4)
     assert set(table.entries) == set(partitions(4))
     assert table[(2, 1, 1)] == wg((2, 1, 1))
+
+
+@st.composite
+def wg_sum_cases(draw):
+    """1-3 sizes in 0..6, up to four keys of cycle types, small weights."""
+    sizes = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+    key = st.tuples(*(st.sampled_from(list(partitions(L))) for L in sizes))
+    keys = draw(st.lists(key, max_size=4, unique=True))
+    weights = {k: draw(st.lists(st.integers(-3, 3), max_size=4)) for k in keys}
+    return sizes, weights
+
+
+class TestWgSum:
+    @settings(max_examples=80, deadline=None)
+    @given(wg_sum_cases())
+    def test_matches_term_by_term_sum(self, case):
+        # each product and each addition reduced on its own, from wg alone
+        sizes, weights = case
+        expected = RationalFunction.zero()
+        for key, weight in weights.items():
+            term = RationalFunction(Polynomial(weight))
+            for mu in key:
+                term = term * wg(mu)
+            expected = expected + term
+        assert wg_sum(sizes, weights) == expected
+
+    @pytest.mark.parametrize("L", range(10))
+    def test_shared_numerators_reduce_to_wg(self, L):
+        values, den, nums = _wg_values(L)
+        assert list(nums) == list(values) == list(partitions(L))
+        for mu, num in nums.items():
+            assert RationalFunction(Polynomial(num), Polynomial(den)) == wg(mu)
+            assert wg_sum([L], {(mu,): [1]}) == wg(mu)
+
+    def test_key_length_must_match_sizes(self):
+        assert wg_sum([2, 1], {}).is_zero
+        with pytest.raises(ValueError):
+            wg_sum([2, 1], {((1, 1),): [1]})
