@@ -6,6 +6,11 @@ Text output is human-readable; ``--json`` emits a single object with a
 rationals, so re-serializing parsed output is byte-identical.
 
 Exit codes: 0 success, 1 usage error, 2 computational-limit error.
+
+Each subcommand imports the modules it runs when it runs, so a request
+loads only those: ``wg`` never loads the pair scan, only ``classes``
+and ``incompressible`` load ``solutions``, and only ``verify-mc`` loads
+numpy.
 """
 
 from __future__ import annotations
@@ -14,23 +19,14 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .perm import partitions
-from .ratfn import LaurentSeries, PoleError, RationalFunction
-from .solutions import is_incompressible, solution_classes
-from .surfaces import (
-    DEFAULT_PAIR_CAP,
-    Matching,
-    PairCapExceeded,
-    UnbalancedError,
-    euler_char,
-    occurrences,
-    pair_statistics,
-)
-from .trace import DEFAULT_LAURENT_TERMS, scl_upper_bound, trace_exact
-from .weingarten import wg_table
-from .words import RankError, WordSyntaxError, WordTuple, parse, word_tuple
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .ratfn import LaurentSeries, RationalFunction
+    from .surfaces import Matching
+    from .words import WordTuple
 
 SCHEMA_VERSION = "1"
 SEED_ENV = "WORDMEASURE_SEED"
@@ -119,10 +115,14 @@ def _read_words_file(path: str) -> tuple[list[str], int | None]:
     return texts, rank
 
 
-def _words(args) -> WordTuple:
-    """The word tuple of -w and --words-file, after the --pair-cap check."""
-    if args.pair_cap < 1:
-        raise ValueError(f"--pair-cap must be at least 1, got {args.pair_cap}")
+def _words(args) -> tuple[WordTuple, int]:
+    """The word tuple of -w and --words-file, and the checked --pair-cap."""
+    from .surfaces import DEFAULT_PAIR_CAP
+    from .words import parse, word_tuple
+
+    cap = DEFAULT_PAIR_CAP if args.pair_cap is None else args.pair_cap
+    if cap < 1:
+        raise ValueError(f"--pair-cap must be at least 1, got {cap}")
     texts = list(args.word or [])
     rank = args.rank
     if args.words_file:
@@ -132,7 +132,7 @@ def _words(args) -> WordTuple:
             rank = file_rank
     if not texts:
         raise ValueError("no words given; use -w or --words-file")
-    return word_tuple([parse(text, rank) for text in texts], rank)
+    return word_tuple([parse(text, rank) for text in texts], rank), cap
 
 
 def _setting(value: int | None, flag: str, env: str, least: int) -> int:
@@ -161,13 +161,14 @@ def _emit(as_json: bool, obj: dict, text_lines: list[str]) -> None:
 
 
 def cmd_trace(args) -> int:
+    from .trace import DEFAULT_LAURENT_TERMS, trace_exact
+
     jobs = _setting(args.jobs, "--jobs", JOBS_ENV, 1)
-    t = _words(args)
-    if args.laurent < 1:
-        raise ValueError(f"--laurent must be at least 1, got {args.laurent}")
-    result = trace_exact(
-        t, cap=args.pair_cap, laurent_terms=args.laurent, jobs=jobs
-    )
+    t, cap = _words(args)
+    laurent = DEFAULT_LAURENT_TERMS if args.laurent is None else args.laurent
+    if laurent < 1:
+        raise ValueError(f"--laurent must be at least 1, got {laurent}")
+    result = trace_exact(t, cap=cap, laurent_terms=laurent, jobs=jobs)
     lines = [f"words: {t}  (rank {t.rank})"]
     obj: dict = {
         "words": [str(w) for w in t.words],
@@ -219,9 +220,11 @@ def cmd_trace(args) -> int:
 
 
 def cmd_chi(args) -> int:
+    from .surfaces import pair_statistics
+
     jobs = _setting(args.jobs, "--jobs", JOBS_ENV, 1)
-    t = _words(args)
-    scan = pair_statistics(t, cap=args.pair_cap, collect_argmax=False, jobs=jobs)
+    t, cap = _words(args)
+    scan = pair_statistics(t, cap=cap, collect_argmax=False, jobs=jobs)
     obj: dict = {
         "words": [str(w) for w in t.words],
         "rank": t.rank,
@@ -256,8 +259,10 @@ def cmd_chi(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    t = _words(args)
-    classes = solution_classes(t, cap=args.pair_cap)
+    from .solutions import solution_classes
+
+    t, cap = _words(args)
+    classes = solution_classes(t, cap=cap)
     lines = [f"words: {t}  (rank {t.rank})", f"solution classes: {len(classes)}"]
     cls_objs = []
     for k, cls in enumerate(classes):
@@ -305,12 +310,16 @@ def cmd_classes(args) -> int:
 
 
 def cmd_incompressible(args) -> int:
-    t = _words(args).cyclically_reduced()
+    from .solutions import is_incompressible
+    from .surfaces import euler_char, occurrences
+
+    t, cap = _words(args)
+    t = t.cyclically_reduced()
     occ = occurrences(t)
     sigma = occ.check_matching(_parse_matching_arg("--sigma", args.sigma, occ.counts))
     tau = occ.check_matching(_parse_matching_arg("--tau", args.tau, occ.counts))
     chi = euler_char(occ, sigma, tau)
-    verdict = is_incompressible(occ, sigma, tau, cap=args.pair_cap)
+    verdict = is_incompressible(occ, sigma, tau, cap=cap)
     lines = [
         f"pair chi = {chi}",
         f"incompressible: {'yes' if verdict else 'no'}",
@@ -328,11 +337,13 @@ def cmd_incompressible(args) -> int:
 
 
 def cmd_scl(args) -> int:
-    t = _words(args)
+    from .trace import scl_upper_bound
+
+    t, cap = _words(args)
     if len(t.words) != 1:
         raise ValueError("scl takes exactly one word")
     word = t.words[0]
-    bound = scl_upper_bound(word, args.budget, rank=t.rank, cap=args.pair_cap)
+    bound = scl_upper_bound(word, args.budget, rank=t.rank, cap=cap)
     lines = [f"scl({word}) <= {bound}  (budget {args.budget})"]
     obj = {
         "word": str(word),
@@ -345,6 +356,9 @@ def cmd_scl(args) -> int:
 
 
 def cmd_wg(args) -> int:
+    from .perm import partitions
+    from .weingarten import wg_table
+
     table = wg_table(args.L)
     lines = [f"Weingarten table for L = {args.L}"]
     entries = []
@@ -359,8 +373,11 @@ def cmd_wg(args) -> int:
 
 
 def cmd_verify_mc(args) -> int:
+    from .ratfn import PoleError
+    from .trace import trace_exact
+
     jobs = _setting(args.jobs, "--jobs", JOBS_ENV, 1)
-    t = _words(args)
+    t, cap = _words(args)
     seed = _setting(args.seed, "--seed", SEED_ENV, 0)
     # estimate's own checks, made before the exact scan and the numpy import
     if args.n < 1:
@@ -369,7 +386,7 @@ def cmd_verify_mc(args) -> int:
         raise ValueError(f"sample count must be positive, got {args.samples}")
     from .montecarlo import estimate  # the only subcommand that loads numpy
 
-    result = trace_exact(t, cap=args.pair_cap)
+    result = trace_exact(t, cap=cap)
     mc = estimate(t, args.n, args.samples, seed, jobs=jobs)
     lines = [
         f"words: {t}  (rank {t.rank}), n = {args.n}, samples = {args.samples}, seed = {seed}",
@@ -421,7 +438,9 @@ def _add_word_options(sub, *, jobs: bool = True) -> None:
                      help="file with one word per line, # comments, optional rank= header")
     sub.add_argument("--rank", type=int, default=None,
                      help="number of generators (default: inferred)")
-    sub.add_argument("--pair-cap", type=int, default=DEFAULT_PAIR_CAP,
+    # the defaults of --pair-cap and --laurent live with the code they
+    # bound, and are read only by the subcommands that load it
+    sub.add_argument("--pair-cap", type=int, default=None,
                      help="abort enumerations beyond this many matching pairs")
     if jobs:
         sub.add_argument("--jobs", type=int, default=None,
@@ -438,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("trace", help="exact expected product of traces")
     _add_word_options(p)
-    p.add_argument("--laurent", type=int, default=DEFAULT_LAURENT_TERMS,
+    p.add_argument("--laurent", type=int, default=None,
                    help="number of Laurent terms to expand")
     p.set_defaults(func=cmd_trace)
 
@@ -490,12 +509,17 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except PairCapExceeded as exc:
-        print(f"limit exceeded: {exc}", file=sys.stderr)
-        return 2
-    except (WordSyntaxError, RankError, UnbalancedError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # WordSyntaxError, RankError and UnbalancedError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        from .surfaces import PairCapExceeded  # loaded by whatever raised it
+
+        if not isinstance(exc, PairCapExceeded):
+            raise
+        print(f"limit exceeded: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

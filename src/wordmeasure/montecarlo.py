@@ -8,7 +8,7 @@ seed reproduces every sample stream bit for bit on one platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from .words import WordTuple
 DEFAULT_BATCH = 2048
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Sample mean of the product of traces, with its standard error."""
 
     n: int

@@ -10,9 +10,8 @@ on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class PoleError(ZeroDivisionError):
@@ -207,8 +206,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return a if a.leading > 0 else -a
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(NamedTuple):
     """Truncated expansion c0*n^e + c1*n^(e-1) + ... at n = infinity."""
 
     leading_exponent: int

@@ -12,7 +12,7 @@ and whose fundamental group presents the stabilizer of the solution.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .perm import mobius_of_cycle_type
 from .surfaces import (
@@ -73,8 +73,7 @@ def is_incompressible(
     return _level_set(occ, [(sigma, tau)], euler_char(occ, sigma, tau), cap) is not None
 
 
-@dataclass(frozen=True)
-class PairPoset:
+class PairPoset(NamedTuple):
     """A finite poset of matching pairs, graded by ||sigma^-1 tau||."""
 
     elements: tuple[MatchingPair, ...]
@@ -82,8 +81,7 @@ class PairPoset:
     below: tuple[frozenset[int], ...]   # strictly-smaller element indices
 
 
-@dataclass(frozen=True)
-class OrderComplex:
+class OrderComplex(NamedTuple):
     """Chain complex data of a poset, with the 2-skeleton explicit."""
 
     num_vertices: int
@@ -197,8 +195,7 @@ def mobius_sum(poset: PairPoset) -> int:
     return sum(pair_mobius_value(p) for p in poset.elements)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     """Group presentation read off a 2-skeleton: free generators and relators.
 
     Relators are words over generator indices, 1-based, negative for
@@ -266,8 +263,7 @@ def pi1_presentation(complex_: OrderComplex) -> Presentation:
     return Presentation(len(generator_of), tuple(relators))
 
 
-@dataclass(frozen=True)
-class SolutionClass:
+class SolutionClass(NamedTuple):
     """One equivalence class of solutions with its derived invariants."""
 
     members: tuple[MatchingPair, ...]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagonal import _diagonal_search
 from .perm import Partition, Permutation
@@ -34,12 +34,24 @@ class UnbalancedError(ValueError):
 
 
 class PairCapExceeded(RuntimeError):
-    """An enumeration would exceed the configured pair cap."""
+    """An enumeration would exceed the configured pair cap.
 
-    def __init__(self, needed: int, cap: int, message: str | None = None) -> None:
-        super().__init__(
-            message or f"enumeration of {needed} matching pairs exceeds the cap {cap}"
-        )
+    ``message`` is filled in with ``needed`` and ``cap``.  A count too
+    long for ``str`` is stated as the power of ten it exceeds, so the
+    message itself never fails.
+    """
+
+    def __init__(
+        self,
+        needed: int,
+        cap: int,
+        message: str = "enumeration of {needed} matching pairs exceeds the cap {cap}",
+    ) -> None:
+        try:
+            text = str(needed)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            text = f"over 10^{int(math.log10(needed))}"
+        super().__init__(message.format(needed=text, cap=cap))
         self.needed = needed
         self.cap = cap
 
@@ -47,10 +59,9 @@ class PairCapExceeded(RuntimeError):
 class OccurrenceTable:
     """Occurrence positions of each generator, in (word, letter) order.
 
-    Letters get global ids in reading order; ``prev[g]`` is the id of
-    the cyclically preceding letter in the same word.  Empty words
-    contribute no letters but are remembered: each one caps off a disc,
-    adding 1 to every Euler characteristic.
+    Letters get ids in reading order.  Empty words contribute no letters
+    but are remembered: each one caps off a disc, adding 1 to every
+    Euler characteristic.
 
     Junction x sits after letter x and has two slots, one per edge end:
     slot 2x, the end of letter x, and slot 2x + 1, the start of the
@@ -65,9 +76,8 @@ class OccurrenceTable:
     """
 
     __slots__ = (
-        "rank", "num_words", "num_empty", "prev", "pos_ids", "neg_ids",
-        "sigma_src", "sigma_tgt", "tau_src", "tau_tgt", "kind", "bare",
-        "counts", "L", "num_letters", "active",
+        "rank", "num_words", "num_empty", "sigma_src", "sigma_tgt", "tau_src",
+        "tau_tgt", "kind", "bare", "counts", "L", "num_letters", "active",
     )
 
     def __init__(self, t: WordTuple) -> None:
@@ -76,6 +86,8 @@ class OccurrenceTable:
         self.rank = t.rank
         self.num_words = len(t.words)
         self.num_empty = sum(1 for w in t.words if w.is_empty)
+        # per generator, the ids of its positive and negative letters,
+        # and the id of the letter cyclically before each letter
         prev: list[int] = []
         pos_ids: list[list[int]] = [[] for _ in range(t.rank)]
         neg_ids: list[list[int]] = [[] for _ in range(t.rank)]
@@ -87,13 +99,10 @@ class OccurrenceTable:
                 prev.append(base + (li - 1) % k)
                 (pos_ids if let.sign > 0 else neg_ids)[let.gen - 1].append(gid)
                 gid += 1
-        self.prev = tuple(prev)
-        self.pos_ids = tuple(tuple(v) for v in pos_ids)
-        self.neg_ids = tuple(tuple(v) for v in neg_ids)
-        self.sigma_src = tuple(tuple(2 * prev[g] + 1 for g in v) for v in self.pos_ids)
-        self.sigma_tgt = tuple(tuple(2 * g for g in v) for v in self.neg_ids)
-        self.tau_src = tuple(tuple(2 * g for g in v) for v in self.pos_ids)
-        self.tau_tgt = tuple(tuple(2 * prev[g] + 1 for g in v) for v in self.neg_ids)
+        self.sigma_src = tuple(tuple(2 * prev[g] + 1 for g in v) for v in pos_ids)
+        self.sigma_tgt = tuple(tuple(2 * g for g in v) for v in neg_ids)
+        self.tau_src = tuple(tuple(2 * g for g in v) for v in pos_ids)
+        self.tau_tgt = tuple(tuple(2 * prev[g] + 1 for g in v) for v in neg_ids)
         kind = [0] * (2 * gid)
         for i, sides in enumerate(
             zip(self.sigma_src, self.sigma_tgt, self.tau_src, self.tau_tgt)
@@ -103,7 +112,7 @@ class OccurrenceTable:
                     kind[s] = 4 * i + j
         self.kind = tuple(kind)
         self.bare = tuple(s ^ 1 for s in range(2 * gid))
-        self.counts = tuple(len(v) for v in self.pos_ids)
+        self.counts = tuple(len(v) for v in pos_ids)
         self.L = sum(self.counts)
         self.num_letters = gid
         self.active = tuple(i for i, c in enumerate(self.counts) if c)
@@ -215,8 +224,7 @@ def _euler(
     return blocks + cycles + occ.num_empty - occ.num_letters
 
 
-@dataclass(frozen=True)
-class PairScan:
+class PairScan(NamedTuple):
     """Statistics of the matching-pair enumeration, read off the class counts."""
 
     balanced: bool
@@ -310,8 +318,8 @@ def _level_set(
                 if len(seen) > cap:
                     raise PairCapExceeded(
                         len(seen), cap,
-                        f"the incompressibility search visited {len(seen)} "
-                        f"pairs, past the cap {cap}",
+                        "the incompressibility search visited {needed} "
+                        "pairs, past the cap {cap}",
                     )
                 queue.append(nxt)
     return seen
@@ -361,81 +369,168 @@ def diagonal_max_euler(
     needed = occ.match_count()
     if needed > cap:
         raise PairCapExceeded(
-            needed, cap, f"enumeration of {needed} matchings exceeds the cap {cap}"
+            needed, cap, "enumeration of {needed} matchings exceeds the cap {cap}"
         )
     return _diagonal_search(occ, above)[0]
+
+
+def _label_order(occ: OccurrenceTable) -> list[int]:
+    """Active generator positions in label order: the summed g* first.
+
+    g* is the active generator with the most occurrences, the first of
+    them on a tie.
+    """
+    sizes = [occ.counts[i] for i in occ.active]
+    star = max(range(len(sizes)), key=sizes.__getitem__)
+    return [star, *(gi for gi in range(len(sizes)) if gi != star)]
+
+
+def _boundary_class(links, sizes) -> tuple:
+    """The class of a boundary permutation under index relabelling.
+
+    Indices are numbered generator by generator, ``sizes`` giving each
+    generator's count, and ``links[m]`` is an index of any generator.
+    Relabelling each generator's indices alike on both sides of
+    ``links`` conjugates it by a permutation that keeps every generator,
+    so the class is the sorted list of its cycles, each read as the
+    generators it passes, at its least rotation.
+    """
+    gen: list[int] = []
+    for j, c in enumerate(sizes):
+        gen += [j] * c
+    seen = [False] * len(gen)
+    words = []
+    for start in range(len(gen)):
+        if seen[start]:
+            continue
+        word = []
+        m = start
+        while not seen[m]:
+            seen[m] = True
+            word.append(gen[m])
+            m = links[m]
+        n = len(word)
+        least = min(word)
+        twice = word * 2
+        words.append(tuple(min([twice[k:k + n] for k in range(n) if word[k] == least])))
+    words.sort()
+    return tuple(words)
+
+
+def _boundary_classes(
+    occ: OccurrenceTable, sigma_range: tuple[int, int] | None = None
+) -> dict[tuple, list]:
+    """The boundaries the sigmas leave, merged by relabelling class.
+
+    Once a sigma's edges are laid, the free slots are the tau ends, and
+    every open path runs from a tau source to a tau target.  Number the
+    indices generator by generator in ``_label_order``: index k of
+    generator i stands for its tau source and for the tau target that
+    positive end k reaches through sigma.  The key of a sigma is its
+    boundary permutation, ``links[m]`` the index whose target the path
+    from m's source reaches, with the cycles sigma closed.  Relabelling
+    one generator's indices alike on sources and targets only conjugates
+    the pi that tau = sigma pi adds, which keeps every count the scan
+    reads, so keys of one ``_boundary_class`` are merged.  Returns, per
+    class, [number of sigmas, links of one of them].  ``sigma_range``
+    slices the sigma enumeration, in lexicographic order.
+    """
+    order = _label_order(occ)
+    gens = [occ.active[gi] for gi in order]
+    sizes = [occ.counts[i] for i in gens]
+    bases = [sum(sizes[:j]) for j in range(len(sizes))]
+    sources = [s for i in gens for s in occ.tau_src[i]]
+    sigma_iter = itertools.product(
+        *(itertools.permutations(range(occ.counts[i])) for i in occ.active)
+    )
+    if sigma_range is not None:
+        sigma_iter = itertools.islice(sigma_iter, *sigma_range)
+    where = [0] * len(occ.bare)
+    keys: dict[tuple, int] = {}
+    for sigma_parts in sigma_iter:
+        other, closed = _sigma_paths(occ, sigma_parts)
+        for i, gi, base in zip(gens, order, bases):
+            tgt = occ.tau_tgt[i]
+            for m, v in enumerate(sigma_parts[gi], base):
+                where[tgt[v]] = m
+        key = (closed, tuple([where[other[s]] for s in sources]))
+        keys[key] = keys.get(key, 0) + 1
+    classes: dict[tuple, list] = {}
+    for (closed, links), count in keys.items():
+        name = (closed, _boundary_class(links, sizes))
+        entry = classes.get(name)
+        if entry is None:
+            classes[name] = [count, links]
+        else:
+            entry[0] += count
+    return classes
 
 
 def _summed_scan(
     occ: OccurrenceTable, sigma_range: tuple[int, int] | None = None
 ) -> dict[tuple[tuple[Partition, ...], int], int]:
-    """Class counts with the tau of one generator summed out by a memo.
+    """Class counts, one pi loop per relabelling class of sigma boundaries.
 
     Each tau is written as sigma pi, so the cycle type of sigma^-1 tau is
-    that of pi, read from one list per generator, and tau's edge from
-    positive end k goes to negative end sigma(pi(k)).  The summed
-    generator g* is the active one with the most occurrences.  For each
-    sigma and each pi over the other generators every edge but g*'s tau
-    edges is laid, as in the per-pair test oracle ``_scan``.  The only
-    free slots left are g*'s 2c tau ends, so the path ends pair them up:
-    read in the order sources, then targets, the index of each one's
-    partner is the boundary pattern.  A memo keyed on the pattern holds
-    the histogram of (cycle type of pi_g*, cycles its edges close) over
-    all pi_g*, so the loop runs prod(c_i!)^2 / c_g*! times.
-    ``sigma_range`` slices the sigma enumeration, in lexicographic order.
+    that of pi, read from one list per generator.  ``_boundary_classes``
+    gives, per class, its sigma count and the boundary permutation of
+    one of its sigmas.  Index m gets source label 2m and target label
+    2m + 1, paired as that permutation says, and pi's edge from index k
+    runs from k's source label to pi(k)'s target label.  For each class
+    and each pi over the generators other than g*, those edges are laid,
+    as in the per-pair test oracle ``_scan``, and the pairs counted are
+    the class's sigmas.  Only g*'s 2c labels, which come first, are free
+    then, so their partners are the boundary pattern.  A memo keyed on
+    the pattern holds the histogram of (cycle type of pi_g*, cycles its
+    edges close) over all pi_g*.  ``sigma_range`` slices the sigma
+    enumeration, in lexicographic order.
     """
     active = occ.active
     if not active:
         return {((), 0): 1}
-    n_act = len(active)
-    sizes = [occ.counts[i] for i in active]
-    star = max(range(n_act), key=sizes.__getitem__)
-    rest = [gi for gi in range(n_act) if gi != star]
+    order = _label_order(occ)
+    sizes = [occ.counts[active[gi]] for gi in order]
     perms = [list(itertools.permutations(range(c))) for c in sizes]
     types = [[Permutation(p).cycle_type() for p in ps] for ps in perms]
-    tau_src = [occ.tau_src[i] for i in active]
-    tau_tgt = [occ.tau_tgt[i] for i in active]
+    # the source and target labels of each generator after g*
+    edges = []
+    base = 2 * sizes[0]
+    for c in sizes[1:]:
+        edges.append((range(base, base + 2 * c, 2), range(base + 1, base + 2 * c, 2)))
+        base += 2 * c
     # pi over the other generators: (pi per generator, their cycle types)
     pis = [
         ([p for p, _ in combo], tuple(mu for _, mu in combo))
-        for combo in itertools.product(*(zip(perms[gi], types[gi]) for gi in rest))
+        for combo in itertools.product(*map(zip, perms[1:], types[1:]))
     ]
 
-    sigma_iter = itertools.product(*perms)
-    if sigma_range is not None:
-        sigma_iter = itertools.islice(sigma_iter, *sigma_range)
-    where = [0] * len(occ.bare)
+    c_star = sizes[0]
     # (other types, pattern, cycles before g*'s tau edges) -> pairs
     partial: dict[tuple, int] = {}
-    for sigma_parts in sigma_iter:
-        other0, closed0 = _sigma_paths(occ, sigma_parts)
-        # the tau target of negative end j is tau_tgt at sigma(j)
-        targets = [
-            [tau_tgt[gi][v] for v in sigma_parts[gi]] for gi in range(n_act)
-        ]
-        edges = [(tau_src[gi], targets[gi]) for gi in rest]
-        ends = tau_src[star] + tuple(targets[star])
-        for index, s in enumerate(ends):
-            where[s] = index
-
+    for (closed0, _), (weight, links) in _boundary_classes(occ, sigma_range).items():
+        # index m has source label 2m and target label 2m + 1
+        partners = [0] * (2 * len(links))
+        for m, n in enumerate(links):
+            partners[2 * m] = 2 * n + 1
+            partners[2 * n + 1] = 2 * m
         for pi_parts, pi_types in pis:
-            other = other0.copy()
+            other = partners.copy()
             closed = closed0
             for (src, tgt), p in zip(edges, pi_parts):
                 closed += _lay(other, src, tgt, p)
-            key = (pi_types, tuple([where[other[s]] for s in ends]), closed)
-            partial[key] = partial.get(key, 0) + 1
+            key = (pi_types, tuple(other[:2 * c_star]), closed)
+            partial[key] = partial.get(key, 0) + weight
 
-    c_star = sizes[star]
-    # pattern indices: g*'s tau sources first, then its tau targets
-    src_index, tgt_index = range(c_star), range(c_star, 2 * c_star)
+    star = order[0]
+    # pattern labels: g*'s tau sources at even, its tau targets at odd ones
+    src_index, tgt_index = range(0, 2 * c_star, 2), range(1, 2 * c_star, 2)
     hist_of: dict[tuple[int, ...], dict[tuple[Partition, int], int]] = {}
     counts: dict[tuple[tuple[Partition, ...], int], int] = {}
     for (others, pattern, blocks), count in partial.items():
         hist = hist_of.get(pattern)
         if hist is None:
             hist = {}
-            for p, mu in zip(perms[star], types[star]):
+            for p, mu in zip(perms[0], types[0]):
                 extra = _lay(list(pattern), src_index, tgt_index, p)
                 hist[mu, extra] = hist.get((mu, extra), 0) + 1
             hist_of[pattern] = hist
@@ -451,7 +546,11 @@ def _class_counts_worker(args):
 
 
 def summed_scan_size(occ: OccurrenceTable) -> int:
-    """Inner iterations of ``_summed_scan``: prod(c_i!)^2 / max c_i!."""
+    """An upper bound on the work of ``_summed_scan``: prod(c_i!)^2 / max c_i!.
+
+    That is the pi-loop iterations with one class per sigma; the scan
+    runs the loop once per relabelling class, usually far fewer.
+    """
     return occ.pair_count() // math.factorial(max(occ.counts, default=0))
 
 
@@ -464,7 +563,7 @@ def class_counts(
     exact trace: the Weingarten weight of a pair depends only on the
     cycle types, and the power of n only on the block count.  The cap
     applies to the full pair count, although ``_summed_scan`` visits
-    only ``summed_scan_size`` of them.  With ``jobs`` > 1 and at least
+    at most ``summed_scan_size`` of them.  With ``jobs`` > 1 and at least
     ``PARALLEL_MIN_SCAN`` inner iterations, contiguous sigma slices are
     scanned in worker processes and their counts summed; smaller scans
     finish before a pool would start, so they stay serial.

@@ -9,8 +9,8 @@ loop touches only integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .perm import mobius_of_cycle_type, partitions
 from .ratfn import LaurentSeries, RationalFunction
@@ -27,8 +27,7 @@ from .words import Word, WordTuple, word_tuple
 DEFAULT_LAURENT_TERMS = 8
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
+class LeadingTerm(NamedTuple):
     """Leading-term shortcut: exponent ch and the Mobius sum over argmax pairs."""
 
     exponent: int | None
@@ -40,8 +39,7 @@ class LeadingTerm:
 _UNBALANCED_LEADING = LeadingTerm(None, 0, True, False)
 
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(NamedTuple):
     """Exact trace function with its expansion at n = infinity."""
 
     function: RationalFunction

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .perm import (
@@ -38,12 +37,25 @@ def wg(mu: Partition) -> RationalFunction:
     return _wg_values(sum(mu))[0][mu]
 
 
-@dataclass(frozen=True)
 class WeingartenTable:
     """All Weingarten values for a fixed L, one entry per cycle type."""
 
-    L: int
-    entries: dict[Partition, RationalFunction]
+    __slots__ = ("L", "entries")
+
+    def __init__(self, L: int, entries: dict[Partition, RationalFunction]) -> None:
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "entries", entries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeingartenTable is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WeingartenTable) and (self.L, self.entries) == (
+            other.L, other.entries
+        )
+
+    def __repr__(self) -> str:
+        return f"WeingartenTable(L={self.L!r}, entries={self.entries!r})"
 
     def __getitem__(self, mu: Partition) -> RationalFunction:
         return self.entries[tuple(sorted(mu, reverse=True))]

@@ -8,10 +8,11 @@ inverses) and indexed names (``x3``, ``X3``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 SYMBOLIC_GENERATORS = "xyzt"
+# the longest power the parser builds; a longer one would exhaust memory
+MAX_POWER_LETTERS = 10**6
 
 
 class WordSyntaxError(ValueError):
@@ -121,20 +122,34 @@ def commutator(u: Word, v: Word) -> Word:
     return u * v * u.inverse() * v.inverse()
 
 
-@dataclass(frozen=True)
 class WordTuple:
     """An ordered tuple of words together with the ambient rank."""
 
-    words: tuple[Word, ...]
-    rank: int
+    __slots__ = ("words", "rank")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "words", tuple(self.words))
-        used = max((w.max_generator for w in self.words), default=0)
-        if self.rank < 0:
+    def __init__(self, words: Iterable[Word], rank: int) -> None:
+        words = tuple(words)
+        used = max((w.max_generator for w in words), default=0)
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
-        if self.rank < used:
-            raise RankError(f"rank {self.rank} < largest generator index {used}")
+        if rank < used:
+            raise RankError(f"rank {rank} < largest generator index {used}")
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "rank", rank)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WordTuple is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, WordTuple) and (self.words, self.rank) == (
+            other.words, other.rank
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.words, self.rank))
+
+    def __repr__(self) -> str:
+        return f"WordTuple(words={self.words!r}, rank={self.rank!r})"
 
     def __len__(self) -> int:
         return len(self.words)
@@ -210,7 +225,7 @@ class _Parser:
         self.skip_ws()
         if self.peek() == "^":
             self.pos += 1
-            return atom ** self.parse_int()
+            return self.parse_power(atom)
         return atom
 
     def parse_atom(self) -> Word:
@@ -260,7 +275,12 @@ class _Parser:
             )
         return Letter(gen, sign)
 
-    def parse_int(self) -> int:
+    def parse_power(self, atom: Word) -> Word:
+        """atom to the signed integer exponent that follows.
+
+        A power longer than ``MAX_POWER_LETTERS`` letters is rejected
+        before it is built, as is an exponent too long for ``int``.
+        """
         self.skip_ws()
         start = self.pos
         if self.peek() in "+-":
@@ -269,7 +289,19 @@ class _Parser:
             raise self.error("expected integer exponent")
         while self.peek().isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos])
+        text = self.text[start:self.pos]
+        if not atom:
+            return atom
+        try:
+            k = int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            k = None
+        if k is None or len(atom) * abs(k) > MAX_POWER_LETTERS:
+            raise WordSyntaxError(
+                f"exponent {text} makes a word of more than "
+                f"{MAX_POWER_LETTERS} letters", start,
+            )
+        return atom ** k
 
 
 def parse(text: str, rank: int | None) -> Word:
@@ -277,7 +309,8 @@ def parse(text: str, rank: int | None) -> Word:
 
     Commutator brackets and integer powers are macros expanded at parse
     time; whitespace between terms is ignored.  Empty input denotes the
-    empty word.  A rank of None accepts every generator index; a
+    empty word.  A power of more than ``MAX_POWER_LETTERS`` letters is
+    a syntax error.  A rank of None accepts every generator index; a
     negative rank is rejected before any generator is read.
     """
     if rank is not None and rank < 0:

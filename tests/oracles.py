@@ -61,7 +61,26 @@ def _union(parent: list[int], a: int, b: int) -> int:
     return 1
 
 
-def _junction_edges(occ: OccurrenceTable) -> list[tuple[tuple, tuple, tuple, tuple]]:
+# oracle helper: letter ids read off the words, without the occurrence table
+def _letters(t: WordTuple) -> tuple[list[int], list[list[int]], list[list[int]]]:
+    """(prev, pos_ids, neg_ids) of the letters of t, numbered in reading order.
+
+    ``prev[g]`` is the letter cyclically before letter g in its word, and
+    ``pos_ids[i]`` and ``neg_ids[i]`` list the positive and negative
+    letters of generator i + 1.
+    """
+    prev: list[int] = []
+    pos_ids: list[list[int]] = [[] for _ in range(t.rank)]
+    neg_ids: list[list[int]] = [[] for _ in range(t.rank)]
+    for w in t.words:
+        base = len(prev)
+        for k, let in enumerate(w):
+            (pos_ids if let.sign > 0 else neg_ids)[let.gen - 1].append(len(prev))
+            prev.append(base + (k - 1) % len(w))
+    return prev, pos_ids, neg_ids
+
+
+def _junction_edges(t: WordTuple) -> list[tuple[tuple, tuple, tuple, tuple]]:
     """Per active generator, the junctions its sigma and tau edges join.
 
     Junction g sits after letter g.  Positive end k's sigma edge runs
@@ -69,15 +88,16 @@ def _junction_edges(occ: OccurrenceTable) -> list[tuple[tuple, tuple, tuple, tup
     sigma(k), and its tau edge from the junction after it to the
     junction before negative end tau(k).
     """
-    prev = occ.prev
+    prev, pos_ids, neg_ids = _letters(t)
     return [
         (
-            tuple(prev[g] for g in occ.pos_ids[i]),
-            occ.neg_ids[i],
-            occ.pos_ids[i],
-            tuple(prev[g] for g in occ.neg_ids[i]),
+            tuple(prev[g] for g in pos),
+            tuple(neg),
+            tuple(pos),
+            tuple(prev[g] for g in neg),
         )
-        for i in occ.active
+        for pos, neg in zip(pos_ids, neg_ids)
+        if pos
     ]
 
 
@@ -88,7 +108,7 @@ def _merges(parent: list[int], sources, targets, images) -> int:
 
 # oracle for class_counts and pair_statistics: every pair, one at a time
 def _scan(
-    occ: OccurrenceTable, cap: int
+    t: WordTuple, cap: float = math.inf
 ) -> Iterator[tuple[tuple, tuple, int, int, tuple[Partition, ...]]]:
     """Yield (sigma_parts, tau_parts, blocks, z_discs, cycle_types) per pair.
 
@@ -99,13 +119,15 @@ def _scan(
     The parts tuples range over active generators only; use
     ``occ.expand`` to recover full matchings.  The sigma-side merges are
     made once per sigma and their parent array copied per tau, and the
-    cycle type of each pair of image vectors is composed once.
+    cycle type of each pair of image vectors is composed once.  Junctions
+    come from t's letters (``_letters``), not from the occurrence table.
     """
-    total = occ.pair_count()
+    edges = _junction_edges(t)
+    total = math.prod(math.factorial(len(pos)) for pos, _, _, _ in edges) ** 2
     if total > cap:
         raise PairCapExceeded(total, cap)
-    edges = _junction_edges(occ)
-    perms = [list(itertools.permutations(range(occ.counts[i]))) for i in occ.active]
+    num_letters = t.total_length
+    perms = [list(itertools.permutations(range(len(pos)))) for pos, _, _, _ in edges]
     types_of: dict[tuple[tuple, tuple], Partition] = {}
 
     def cycle_type(sp: tuple, tp: tuple) -> Partition:
@@ -116,7 +138,7 @@ def _scan(
         return mu
 
     for sigma_parts in itertools.product(*perms):
-        parent0 = list(range(occ.num_letters))
+        parent0 = list(range(num_letters))
         count0 = 0
         for (pp, ng, _, _), sp in zip(edges, sigma_parts):
             count0 += _merges(parent0, pp, ng, sp)
@@ -129,15 +151,15 @@ def _scan(
             yield (
                 sigma_parts,
                 tau_parts,
-                occ.num_letters - count0 - merges,
+                num_letters - count0 - merges,
                 sum(map(len, types)),
                 types,
             )
 
 
 # oracle for the blocks of _scan, with a union-find of its own
-def block_count(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
-    """Blocks of the index partition induced by the pair.
+def block_count(t: WordTuple, sigma: Matching, tau: Matching) -> int:
+    """Blocks of the index partition the full matchings induce on t.
 
     An independent oracle, with its own union-find, that the tests check
     ``_scan`` against.  Each occurrence carries an in-slot and an out-slot; the word
@@ -145,9 +167,8 @@ def block_count(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
     to one node per letter junction), sigma identifies in(m) with
     out(sigma(m)) and tau identifies out(m) with in(tau(m)).
     """
-    sigma = occ.check_matching(sigma)
-    tau = occ.check_matching(tau)
-    parent = list(range(occ.num_letters))
+    prev, pos_ids, neg_ids = _letters(t)
+    parent = list(range(len(prev)))
 
     def find(v: int) -> int:
         while parent[v] != v:
@@ -155,19 +176,18 @@ def block_count(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
             v = parent[v]
         return v
 
-    prev = occ.prev
     merges = 0
-    for i in occ.active:
-        for k in range(occ.counts[i]):
+    for i, (pos, neg) in enumerate(zip(pos_ids, neg_ids)):
+        for k, g in enumerate(pos):
             for a, b in (
-                (prev[occ.pos_ids[i][k]], occ.neg_ids[i][sigma[i][k]]),
-                (occ.pos_ids[i][k], prev[occ.neg_ids[i][tau[i][k]]]),
+                (prev[g], neg[sigma[i][k]]),
+                (g, prev[neg[tau[i][k]]]),
             ):
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[ra] = rb
                     merges += 1
-    return occ.num_letters - merges
+    return len(prev) - merges
 
 
 # oracle for the cycle types of _scan, with a cycle walk of its own
@@ -203,24 +223,25 @@ def cycle_types(
 
 
 # oracle for diagonal._diagonal_search: every matching, one at a time
-def _diagonal_scan(occ: OccurrenceTable) -> Iterator[tuple[tuple, int]]:
-    """Yield (sigma_parts, chi(sigma, sigma)) for every matching sigma.
+def _diagonal_scan(t: WordTuple) -> Iterator[tuple[tuple, int]]:
+    """Yield (sigma_parts, chi(sigma, sigma)) for every matching sigma of t.
 
     A test oracle for ``_diagonal_search``, one fresh union-find per
     matching.  The parts range over active generators, in ``_scan``'s
     sigma order.
     """
-    edges = _junction_edges(occ)
+    edges = _junction_edges(t)
+    num_letters = t.total_length
     # chi(sigma, sigma) = B - L + #empty: all L z-discs are fixed points
-    shift = occ.num_empty - occ.L
+    shift = sum(1 for w in t.words if w.is_empty) - num_letters // 2
     for parts in itertools.product(
-        *(itertools.permutations(range(occ.counts[i])) for i in occ.active)
+        *(itertools.permutations(range(len(pos))) for pos, _, _, _ in edges)
     ):
-        parent = list(range(occ.num_letters))
+        parent = list(range(num_letters))
         merges = 0
         for (pp, ng, po, np_), sp in zip(edges, parts):
             merges += _merges(parent, pp, ng, sp) + _merges(parent, po, np_, sp)
-        yield parts, occ.num_letters - merges + shift
+        yield parts, num_letters - merges + shift
 
 
 # ---------------------------------------------------------------------------

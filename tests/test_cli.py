@@ -248,6 +248,30 @@ class TestErrorsAndConfig:
             "past the cap 2\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, power",
+        [(["chi", "-w", "[x,y]^2000"], 22942), (["trace", "-w", "[x,y]^20000"], 309349)],
+        ids=["chi", "trace"],
+    )
+    def test_cap_error_states_a_count_too_long_for_str(self, capsys, argv, power):
+        # (2000!)^4 and (20000!)^4 pairs: more digits than str() converts,
+        # so the count is stated as the power of ten it exceeds
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"limit exceeded: enumeration of over 10^{power} matching pairs "
+            "exceeds the cap 100000000\n"
+        )
+
+    @pytest.mark.parametrize("exponent", ["99999999999", "99999999999999999999"])
+    def test_power_too_long_to_build_is_a_syntax_error(self, capsys, exponent):
+        code, out, err = run(capsys, "trace", "-w", f"x^{exponent}")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: exponent {exponent} makes a word of more than 1000000 "
+            "letters (at position 2)\n"
+        )
+
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0
@@ -471,11 +495,16 @@ def run_fresh(code: str) -> subprocess.CompletedProcess:
     ids=["trace", "chi", "wg", "classes", "incompressible", "scl"],
 )
 def test_exact_subcommands_do_not_load_numpy(argv):
+    # nor dataclasses; and only classes and incompressible load solutions
+    absent = ["numpy", "dataclasses"]
+    if argv[0] in ("trace", "chi", "scl", "wg"):
+        absent.append("wordmeasure.solutions")
     proc = run_fresh(f"""
         import sys
         import wordmeasure.cli
         assert wordmeasure.cli.main({argv!r}) == 0
-        assert "numpy" not in sys.modules, "numpy loaded"
+        for name in {absent!r}:
+            assert name not in sys.modules, name + " loaded"
     """)
     assert proc.returncode == 0, proc.stderr
 
@@ -487,6 +516,7 @@ def test_verify_mc_loads_numpy_and_runs():
         argv = ["verify-mc", "-w", "[x,y]", "--n", "3", "--samples", "2000", "--json"]
         assert wordmeasure.cli.main(argv) == 0
         assert "numpy" in sys.modules
+        assert "dataclasses" not in sys.modules
     """)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["within_4_sigma"] is True
@@ -502,6 +532,50 @@ def test_package_serves_monte_carlo_names_on_first_use():
         assert (McEstimate, estimate, sample_haar) == (
             montecarlo.McEstimate, montecarlo.estimate, montecarlo.sample_haar
         )
+    """)
+    assert proc.returncode == 0, proc.stderr
+
+
+# every name the package exported when it imported all of its modules
+PACKAGE_EXPORTS = {
+    "perm": ("Permutation", "character", "dimension", "leq", "mobius", "norm", "partitions"),
+    "ratfn": ("LaurentSeries", "PoleError", "Polynomial", "RationalFunction"),
+    "solutions": (
+        "OrderComplex", "PairPoset", "Presentation", "SolutionClass", "complex_euler",
+        "is_incompressible", "mobius_sum", "order_complex", "pi1_presentation",
+        "solution_classes",
+    ),
+    "surfaces": (
+        "DEFAULT_PAIR_CAP", "Matching", "MatchingPair", "OccurrenceTable",
+        "PairCapExceeded", "UnbalancedError", "commutator_length", "diagonal_max_euler",
+        "euler_char", "occurrences", "pair_statistics",
+    ),
+    "trace": (
+        "LeadingTerm", "TraceResult", "parity_report", "scl_upper_bound", "trace_exact",
+        "trace_leading",
+    ),
+    "weingarten": ("WeingartenTable", "moment", "wg", "wg_table"),
+    "words": (
+        "Letter", "RankError", "Word", "WordSyntaxError", "WordTuple", "commutator",
+        "parse", "parse_tuple", "word_tuple",
+    ),
+}
+
+
+def test_package_import_loads_no_submodule_and_serves_every_name():
+    proc = run_fresh(f"""
+        import importlib
+        import sys
+        import wordmeasure
+        loaded = [name for name in sys.modules if name.startswith("wordmeasure.")]
+        assert loaded == [], loaded
+        assert wordmeasure.__version__ == "0.1.0"
+        for module, names in {PACKAGE_EXPORTS!r}.items():
+            source = importlib.import_module("wordmeasure." + module)
+            for name in names:
+                assert getattr(wordmeasure, name) is getattr(source, name), name
+                assert name in dir(wordmeasure), name
+        assert "numpy" not in sys.modules
     """)
     assert proc.returncode == 0, proc.stderr
 

@@ -64,7 +64,7 @@ def test_grouped_trace_matches_naive_accumulation():
         total = RationalFunction.zero()
         for s, tt in itertools.product(matchings, repeat=2):
             term = RationalFunction(
-                Polynomial.monomial(block_count(occ, s, tt) + occ.num_empty)
+                Polynomial.monomial(block_count(reduced, s, tt) + occ.num_empty)
             )
             for mu in cycle_types(occ, s, tt):
                 term = term * wg(mu)
@@ -74,10 +74,11 @@ def test_grouped_trace_matches_naive_accumulation():
 
 def test_scan_agrees_with_single_pair_helpers():
     for t in _random_balanced_tuples(8, seed=42):
-        occ = occurrences(t.cyclically_reduced())
-        for s_parts, t_parts, blocks, z_total, types in _scan(occ, 10**6):
+        reduced = t.cyclically_reduced()
+        occ = occurrences(reduced)
+        for s_parts, t_parts, blocks, z_total, types in _scan(reduced, 10**6):
             s_full, t_full = occ.expand(s_parts), occ.expand(t_parts)
-            assert blocks == block_count(occ, s_full, t_full)
+            assert blocks == block_count(reduced, s_full, t_full)
             assert z_total == sum(map(len, cycle_types(occ, s_full, t_full)))
             assert types == cycle_types(occ, s_full, t_full)
             assert (
@@ -86,18 +87,18 @@ def test_scan_agrees_with_single_pair_helpers():
             )
 
 
-def _folded_scan(occ):
+def _folded_scan(t):
     """Class counts folded pair by pair from the per-pair scan (the oracle)."""
     counts = {}
-    for _, _, blocks, _, types in _scan(occ, occ.pair_count()):
+    for _, _, blocks, _, types in _scan(t):
         counts[types, blocks] = counts.get((types, blocks), 0) + 1
     return counts
 
 
 def test_class_counts_match_scan_on_golden_set(golden_tuples):
     for text, t in golden_tuples.items():
-        occ = occurrences(t.cyclically_reduced())
-        assert class_counts(occ) == _folded_scan(occ), text
+        t = t.cyclically_reduced()
+        assert class_counts(occurrences(t)) == _folded_scan(t), text
 
 
 @pytest.mark.parametrize(
@@ -115,7 +116,7 @@ def test_class_counts_match_scan_on_golden_set(golden_tuples):
 def test_class_counts_match_scan_on_chosen_tuples(texts, rank):
     t = parse_tuple(texts, rank).cyclically_reduced()
     occ = occurrences(t)
-    assert class_counts(occ) == _folded_scan(occ)
+    assert class_counts(occ) == _folded_scan(t)
 
 
 @st.composite
@@ -149,24 +150,25 @@ def test_class_counts_match_scan_on_random_tuples(t, reduce):
     occ = occurrences(t)
     if occ.pair_count() > 20_000:
         return
-    assert class_counts(occ) == _folded_scan(occ)
+    assert class_counts(occ) == _folded_scan(t)
 
 
 def test_sliced_scans_sum_to_the_whole():
-    occ = occurrences(parse_tuple(["[x,y]^3"], 2))
+    t = parse_tuple(["[x,y]^3"], 2)
+    occ = occurrences(t)
     bounds = [0, 1, 7, 7, 20, occ.match_count()]
     assert bounds[-2] < bounds[-1]
     total = {}
     for lo, hi in zip(bounds, bounds[1:]):
         for key, count in surfaces._summed_scan(occ, (lo, hi)).items():
             total[key] = total.get(key, 0) + count
-    assert total == _folded_scan(occ)
+    assert total == _folded_scan(t)
 
 
 def test_pool_route_matches_scan(monkeypatch):
     monkeypatch.setattr(surfaces, "PARALLEL_MIN_SCAN", 0)
-    occ = occurrences(parse_tuple(["[x,y^2][x,z]"], 3))
-    assert class_counts(occ, jobs=2) == _folded_scan(occ)
+    t = parse_tuple(["[x,y^2][x,z]"], 3)
+    assert class_counts(occurrences(t), jobs=2) == _folded_scan(t)
 
 
 def test_small_scans_stay_serial(monkeypatch):
@@ -186,12 +188,13 @@ def test_pair_cap_raised_before_any_work(monkeypatch):
         raise AssertionError("scan started above the cap")
 
     monkeypatch.setattr(surfaces, "_summed_scan", no_scan)
-    occ = occurrences(parse_tuple(["[x,y]^3"], 2))
+    t = parse_tuple(["[x,y]^3"], 2)
+    occ = occurrences(t)
     cap = occ.pair_count() - 1
     with pytest.raises(PairCapExceeded) as new:
         class_counts(occ, cap=cap)
     with pytest.raises(PairCapExceeded) as oracle:
-        next(_scan(occ, cap))
+        next(_scan(t, cap))
     assert (new.value.needed, new.value.cap) == (1296, cap)
     assert (oracle.value.needed, oracle.value.cap) == (1296, cap)
 
@@ -202,7 +205,7 @@ def _folded_statistics(t):
     shift = occ.num_empty - occ.num_letters
     chis = [
         (s, tt, blocks + z_total + shift)
-        for s, tt, blocks, z_total, _ in _scan(occ, occ.pair_count())
+        for s, tt, blocks, z_total, _ in _scan(t)
     ]
     hist = {}
     for _, _, chi in chis:
@@ -265,7 +268,7 @@ def _assert_search_matches_oracle(t):
     """Maximum, all maximal seeds and the ``above`` cut-off against the
     full diagonal scan (the oracle)."""
     occ = occurrences(t)
-    chis = list(_diagonal_scan(occ))
+    chis = list(_diagonal_scan(t))
     best = max(chi for _, chi in chis)
     seeds = [parts for parts, chi in chis if chi == best]
     assert _diagonal_search(occ) == (best, [])

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wordmeasure import surfaces
 from wordmeasure.diagonal import _join, _unjoin
@@ -35,8 +37,10 @@ class TestOccurrences:
     def test_commutator(self):
         occ = occurrences(XY)
         assert occ.L == 2
-        assert occ.pos_ids == ((0,), (1,))
-        assert occ.neg_ids == ((2,), (3,))
+        # slot 2g ends letter g: x y X Y has positive x, y at 0, 1
+        # and negative x, y at 2, 3
+        assert occ.tau_src == ((0,), (2,))
+        assert occ.sigma_tgt == ((4,), (6,))
 
     def test_commutator_square(self):
         occ = occurrences(XY2)
@@ -54,8 +58,9 @@ class TestOccurrences:
 
     def test_canonical_order_is_reading_order(self):
         occ = occurrences(parse_tuple(["y X", "x Y"], 2))
-        assert occ.pos_ids == ((2,), (0,))
-        assert occ.neg_ids == ((1,), (3,))
+        # letters y X | x Y: positive x at 2, y at 0; negative x at 1, y at 3
+        assert occ.tau_src == ((4,), (0,))
+        assert occ.sigma_tgt == ((2,), (6,))
 
 
 class TestEnumeration:
@@ -75,7 +80,7 @@ class TestBlockAndDiscCounts:
     def test_single_commutator(self):
         occ = occurrences(XY)
         (m,) = enumerate_matchings(occ)
-        assert block_count(occ, m, m) == 1
+        assert block_count(XY, m, m) == 1
         assert sum(map(len, cycle_types(occ, m, m))) == 2
         assert euler_char(occ, m, m) == -1
 
@@ -85,7 +90,7 @@ class TestBlockAndDiscCounts:
         (m,) = enumerate_matchings(occ)
         assert sum(map(len, cycle_types(occ, m, m))) == 1
         assert euler_char(occ, m, m) == 0
-        assert block_count(occ, m, m) == 1
+        assert block_count(ANNULUS, m, m) == 1
 
     def test_diagonal_z_count_is_l(self):
         occ = occurrences(XY2)
@@ -236,9 +241,9 @@ def _pair_rank(p):
 
 @pytest.mark.parametrize("t", SMALL_TUPLES, ids=[str(t) for t in SMALL_TUPLES])
 def test_block_count_symmetric_empirically(t):
-    occ = occurrences(t.cyclically_reduced())
-    for s, tt in _all_pairs(occ):
-        assert block_count(occ, s, tt) == block_count(occ, tt, s)
+    t = t.cyclically_reduced()
+    for s, tt in _all_pairs(occurrences(t)):
+        assert block_count(t, s, tt) == block_count(t, tt, s)
 
 
 @pytest.mark.parametrize("t", SMALL_TUPLES, ids=[str(t) for t in SMALL_TUPLES])
@@ -375,3 +380,83 @@ class TestPrimitives:
             assert (reached is None) == (not verdict)
             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+def _relabel(links, sizes, images):
+    """The boundary permutation with index k of generator j renamed
+    images[j][k], alike as a source and as a target."""
+    rename = []
+    for c, image in zip(sizes, images):
+        base = len(rename)
+        rename += [base + v for v in image]
+    moved = [0] * len(links)
+    for m, n in enumerate(links):
+        moved[rename[m]] = rename[n]
+    return moved
+
+
+@st.composite
+def relabelled_boundaries(draw):
+    """Sizes of 1-3 generators, a permutation of their indices, and one
+    permutation of each generator's indices."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    links = draw(st.permutations(range(sum(sizes))))
+    images = [draw(st.permutations(range(c))) for c in sizes]
+    return sizes, links, images
+
+
+class TestBoundaryClasses:
+    """The relabelling classes that ``_summed_scan`` runs one pi loop for."""
+
+    @pytest.mark.parametrize(
+        "texts, classes",
+        [
+            (["[x,y]^4"], 2),
+            (["[x^2,y^2]^2"], 41),
+            (["[x,y]^2", "[x,y]^2"], 3),
+            (["[x,y]^5"], 4),
+        ],
+        ids=["[x,y]^4", "[x^2,y^2]^2", "([x,y]^2,[x,y]^2)", "[x,y]^5"],
+    )
+    def test_class_counts(self, texts, classes):
+        occ = occurrences(parse_tuple(texts, 2))
+        found = surfaces._boundary_classes(occ)
+        assert len(found) == classes
+        assert sum(count for count, _ in found.values()) == occ.match_count()
+
+    def test_open_paths_run_from_tau_sources_to_tau_targets(self, golden_tuples):
+        # so a sigma's boundary is a permutation of the indices
+        for text, t in golden_tuples.items():
+            occ = occurrences(t)
+            sources = {s for i in occ.active for s in occ.tau_src[i]}
+            targets = {s for i in occ.active for s in occ.tau_tgt[i]}
+            for parts in itertools.product(
+                *(itertools.permutations(range(occ.counts[i])) for i in occ.active)
+            ):
+                other, _ = surfaces._sigma_paths(occ, parts)
+                assert {other[s] for s in sources} == targets, text
+
+    @settings(max_examples=200, deadline=None)
+    @given(relabelled_boundaries())
+    def test_relabelling_keeps_the_class(self, drawn):
+        sizes, links, images = drawn
+        moved = _relabel(links, sizes, images)
+        assert sorted(moved) == list(range(len(links)))
+        assert surfaces._boundary_class(moved, sizes) == surfaces._boundary_class(
+            links, sizes
+        )
+
+    @pytest.mark.parametrize(
+        "sizes", [[3], [2, 1], [1, 1, 1], [2, 2], [3, 1], [2, 2, 1], [3, 2]]
+    )
+    def test_classes_are_the_relabelling_orbits(self, sizes):
+        # every boundary permutation, grouped by class and by brute-force orbit
+        group = list(itertools.product(*(itertools.permutations(range(c)) for c in sizes)))
+        by_orbit, by_class = {}, {}
+        for links in itertools.permutations(range(sum(sizes))):
+            orbit = min(tuple(_relabel(links, sizes, g)) for g in group)
+            by_orbit.setdefault(orbit, set()).add(links)
+            by_class.setdefault(surfaces._boundary_class(links, sizes), set()).add(links)
+        assert sorted(map(sorted, by_orbit.values())) == sorted(
+            map(sorted, by_class.values())
+        )

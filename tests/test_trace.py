@@ -407,7 +407,7 @@ def _oracle_scl(w, budget, rank, cap):
             occ = occurrences(t)
             if occ.match_count() > cap:
                 continue
-            bound = Fraction(-max(chi for _, chi in _diagonal_scan(occ)), 2 * total)
+            bound = Fraction(-max(chi for _, chi in _diagonal_scan(t)), 2 * total)
             if best is None or bound < best:
                 best = bound
     return best

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wordmeasure import words
 from wordmeasure.words import (
     Letter,
     RankError,
@@ -22,6 +23,23 @@ def lets(*pairs):
 
 
 class TestParse:
+    def test_power_past_the_letter_limit_is_rejected_before_it_is_built(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_POWER_LETTERS", 12)
+        assert len(parse("[x,y]^3", 2)) == 12
+        assert len(parse("(x^3)^-4", 1)) == 12
+        for text, exponent, position in (
+            ("[x,y]^4", "4", 6), ("(x^3)^-5", "-5", 6), ("x^ 13", "13", 3),
+            ("x^" + "9" * 5000, "9" * 5000, 2),
+        ):
+            with pytest.raises(WordSyntaxError) as exc:
+                parse(text, None)
+            assert str(exc.value) == (
+                f"exponent {exponent} makes a word of more than 12 letters "
+                f"(at position {position})"
+            )
+        # the empty word to any power is empty, at any length of exponent
+        assert parse("()^" + "9" * 5000, None).is_empty
+
     def test_commutator_macro(self):
         w = parse("[x,y]", 2)
         assert w.letters == lets((1, 1), (2, 1), (1, -1), (2, -1))
