@@ -29,6 +29,9 @@ class Permutation:
     def __setattr__(self, name, value):
         raise AttributeError("Permutation is immutable")
 
+    def __reduce__(self):
+        return (Permutation, (self.images,))
+
     @classmethod
     def identity(cls, L: int) -> "Permutation":
         return cls(range(L))

@@ -32,6 +32,9 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return (Polynomial, (self.coeffs,))
+
     @classmethod
     def constant(cls, c: Fraction | int) -> "Polynomial":
         return cls((c,))
@@ -267,6 +270,9 @@ class RationalFunction:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
+
+    def __reduce__(self):
+        return (RationalFunction, (self.num, self.den))
 
     @classmethod
     def from_fraction(cls, c: Fraction | int) -> "RationalFunction":

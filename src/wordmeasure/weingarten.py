@@ -49,6 +49,9 @@ class WeingartenTable:
     def __setattr__(self, name, value):
         raise AttributeError("WeingartenTable is immutable")
 
+    def __reduce__(self):
+        return (WeingartenTable, (self.L, self.entries))
+
     def __eq__(self, other) -> bool:
         return isinstance(other, WeingartenTable) and (self.L, self.entries) == (
             other.L, other.entries

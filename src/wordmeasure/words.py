@@ -56,6 +56,9 @@ class Word:
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
+    def __reduce__(self):
+        return (Word, (self.letters,))
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -139,6 +142,9 @@ class WordTuple:
 
     def __setattr__(self, name, value):
         raise AttributeError("WordTuple is immutable")
+
+    def __reduce__(self):
+        return (WordTuple, (self.words, self.rank))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, WordTuple) and (self.words, self.rank) == (

@@ -522,6 +522,19 @@ def test_verify_mc_loads_numpy_and_runs():
     assert json.loads(proc.stdout)["within_4_sigma"] is True
 
 
+@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "jobs2"])
+def test_verify_mc_output_is_reproducible(jobs):
+    argv = [
+        "verify-mc", "-w", "[x,y]^2", "--n", "4", "--samples", "4000",
+        "--seed", "3", "--json", *jobs,
+    ]
+    code = f"import sys, wordmeasure.cli; sys.exit(wordmeasure.cli.main({argv!r}))"
+    first, second = run_fresh(code), run_fresh(code)
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    assert first.stdout == second.stdout
+    assert json.loads(first.stdout)["within_4_sigma"] is True
+
+
 def test_package_serves_monte_carlo_names_on_first_use():
     proc = run_fresh("""
         import sys

@@ -1,9 +1,18 @@
+import copy
+import math
+import random
+
 import numpy as np
 import pytest
 
-from wordmeasure.montecarlo import estimate, sample_haar
+from wordmeasure.montecarlo import _Batch, _haar_batch, estimate, sample_haar
 from wordmeasure.trace import trace_exact
-from wordmeasure.words import parse_tuple
+from wordmeasure.words import Letter, Word, parse_tuple, word_tuple
+
+
+def _gram(a, b):
+    """a^H b for every sample of two (n, n, batch) arrays."""
+    return np.einsum("kib,kjb->ijb", a.conj(), b)
 
 
 class TestSampling:
@@ -41,6 +50,72 @@ class TestSampling:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             estimate(parse_tuple(["x"], 1), 0, samples=10)
+
+
+class TestSamplerExactness:
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_q_of_ginibre_with_positive_r_diagonal(self, n):
+        # Mezzadri's condition: Z = QR with R upper triangular and its
+        # diagonal real and positive; Z is redrawn from the same state
+        rng = np.random.default_rng(20 + n)
+        twin = copy.deepcopy(rng)
+        q = _haar_batch(n, 400, rng)
+        z = twin.standard_normal((n, n, 800)).view(np.complex128)
+        r = _gram(q, z)
+        below = np.tril_indices(n, -1)
+        assert np.max(np.abs(r[below]), initial=0.0) < 1e-12
+        diag = r[np.arange(n), np.arange(n)]
+        assert np.max(np.abs(diag.imag)) < 1e-12
+        assert np.min(diag.real) > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_every_matrix_of_a_batch_is_unitary(self, n):
+        q = _haar_batch(n, 1000, np.random.default_rng(30 + n))
+        assert np.max(np.abs(_gram(q, q) - np.eye(n)[:, :, None])) < 1e-12
+
+    def test_haar_trace_moments_at_n4(self):
+        # E|tr U|^(2k) = k! for k <= n, and E tr U = E tr U^2 = 0
+        q = _haar_batch(4, 40_000, np.random.default_rng(2007))
+        tr = np.einsum("iib->b", q)
+        tr2 = np.einsum("ijb,jib->b", q, q)
+        stats = [(np.abs(tr) ** (2 * k), math.factorial(k)) for k in (1, 2, 3)]
+        for values in (tr, tr2):
+            stats += [(values.real, 0.0), (values.imag, 0.0)]
+        for values, expected in stats:
+            stderr = values.std() / math.sqrt(len(values))
+            assert abs(values.mean() - expected) <= 4 * stderr, expected
+
+
+def _random_word(rng: random.Random, rank: int) -> Word:
+    letters = [
+        Letter(rng.randint(1, rank), rng.choice((1, -1)))
+        for _ in range(rng.randint(1, 7))
+    ]
+    return Word(letters) ** rng.choice((1, 1, 2, 3, 4, 5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_word_traces_match_per_sample_products(n):
+    # the batched kernel against a plain numpy product per sample, with
+    # inverses taken by np.linalg.inv
+    rng = random.Random(n)
+    rank, size = 3, 5
+    words = [_random_word(rng, rank) for _ in range(12)]
+    words += [Word([(1, 1)]), Word([(2, -1)]) ** 3, Word([(3, -1), (1, 1)]) ** 4, Word()]
+    words.append(Word([(1, 1), (2, 1)]) ** 2 * Word([(1, 1), (3, -1)]))  # not a power
+    batch = _Batch(n, rank, size)
+    u = batch.haar(np.random.default_rng(n))
+    for t in [word_tuple([w], rank) for w in words] + [word_tuple(words[:3] + [Word()], rank)]:
+        got = batch.trace_products(t.words, u)
+        for b in range(size):
+            want = 1.0
+            for word in t.words:
+                m = np.eye(n)
+                for let in word:
+                    g = u[:, :, (let.gen - 1) * size + b]
+                    m = m @ (g if let.sign > 0 else np.linalg.inv(g))
+                want *= np.trace(m)
+            assert abs(got[b] - want) <= 1e-9 * max(1.0, abs(want)), (str(t), b)
 
 
 class TestAgainstExact:

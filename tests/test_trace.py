@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import time
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wordmeasure import trace
-from wordmeasure.perm import partitions
-from wordmeasure.ratfn import RationalFunction
+from wordmeasure.perm import Permutation, partitions
+from wordmeasure.ratfn import Polynomial, RationalFunction
 from wordmeasure.surfaces import (
     PairCapExceeded,
     class_counts,
@@ -33,6 +34,7 @@ from wordmeasure.words import (
     parse_tuple,
     word_tuple,
 )
+from wordmeasure.weingarten import wg_table
 
 from oracles import _diagonal_scan, leading_via_classes, rf
 
@@ -446,3 +448,24 @@ def test_scl_bound_matches_scan_oracle_on_random_commutators(data):
             scl_upper_bound(w, 3, rank=rank, cap=cap)
     else:
         assert scl_upper_bound(w, 3, rank=rank, cap=cap) == expected
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse("[x,y]", 2),
+        lambda: parse_tuple(["[x,y]", "x X", ""], 2),
+        lambda: Permutation((1, 0)),
+        lambda: Polynomial((Fraction(1, 2), 0, -3)),
+        lambda: RationalFunction(Polynomial((1,)), Polynomial((0, -1, 0, 1))),
+        lambda: wg_table(3),
+        lambda: trace_exact(parse_tuple(["[x,y]^2"], 2)),
+    ],
+    ids=["Word", "WordTuple", "Permutation", "Polynomial", "RationalFunction",
+         "WeingartenTable", "TraceResult"],
+)
+def test_values_survive_pickling(make):
+    value = make()
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert copy == value
