@@ -163,12 +163,11 @@ def _emit(as_json: bool, obj: dict, text_lines: list[str]) -> None:
 def cmd_trace(args) -> int:
     from .trace import DEFAULT_LAURENT_TERMS, trace_exact
 
-    jobs = _setting(args.jobs, "--jobs", JOBS_ENV, 1)
     t, cap = _words(args)
     laurent = DEFAULT_LAURENT_TERMS if args.laurent is None else args.laurent
     if laurent < 1:
         raise ValueError(f"--laurent must be at least 1, got {laurent}")
-    result = trace_exact(t, cap=cap, laurent_terms=laurent, jobs=jobs)
+    result = trace_exact(t, cap=cap, laurent_terms=laurent)
     lines = [f"words: {t}  (rank {t.rank})"]
     obj: dict = {
         "words": [str(w) for w in t.words],
@@ -222,9 +221,8 @@ def cmd_trace(args) -> int:
 def cmd_chi(args) -> int:
     from .surfaces import pair_statistics
 
-    jobs = _setting(args.jobs, "--jobs", JOBS_ENV, 1)
     t, cap = _words(args)
-    scan = pair_statistics(t, cap=cap, collect_argmax=False, jobs=jobs)
+    scan = pair_statistics(t, cap=cap, collect_argmax=False)
     obj: dict = {
         "words": [str(w) for w in t.words],
         "rank": t.rank,
@@ -429,7 +427,7 @@ def cmd_verify_mc(args) -> int:
     return 0
 
 
-def _add_word_options(sub, *, jobs: bool = True) -> None:
+def _add_word_options(sub) -> None:
     sub.add_argument(
         "-w", "--word", action="append", metavar="WORD",
         help="word in the grammar, e.g. \"[x,y]^2\" (repeatable)",
@@ -442,9 +440,6 @@ def _add_word_options(sub, *, jobs: bool = True) -> None:
     # bound, and are read only by the subcommands that load it
     sub.add_argument("--pair-cap", type=int, default=None,
                      help="abort enumerations beyond this many matching pairs")
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=None,
-                         help=f"worker processes for the pair scan (env {JOBS_ENV})")
     sub.add_argument("--json", action="store_true", help="emit a JSON object")
 
 
@@ -468,18 +463,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_chi)
 
     p = subs.add_parser("classes", help="solution classes and their invariants")
-    _add_word_options(p, jobs=False)
+    _add_word_options(p)
     p.set_defaults(func=cmd_classes)
 
     p = subs.add_parser("incompressible", help="check a user-supplied matching pair")
-    _add_word_options(p, jobs=False)
+    _add_word_options(p)
     p.add_argument("--sigma", required=True,
                    help="per-generator 1-based image lists, e.g. \"2,1;1\"")
     p.add_argument("--tau", required=True, help="same format as --sigma")
     p.set_defaults(func=cmd_incompressible)
 
     p = subs.add_parser("scl", help="upper bound for stable commutator length")
-    _add_word_options(p, jobs=False)
+    _add_word_options(p)
     p.add_argument("--budget", type=int, required=True,
                    help="max total power of the word across the tuple")
     p.set_defaults(func=cmd_scl)
@@ -492,6 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-mc", help="Monte-Carlo cross-check of the exact value")
     _add_word_options(p)
+    p.add_argument("--jobs", type=int, default=None,
+                   help=f"worker processes for the sampling (env {JOBS_ENV})")
     p.add_argument("--n", type=int, required=True, help="matrix dimension")
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=None,

@@ -17,12 +17,10 @@ from collections import deque
 from typing import NamedTuple
 
 from .diagonal import _diagonal_search
-from .perm import Partition, Permutation
+from .perm import Partition
 from .words import Word, WordTuple, word_tuple
 
 DEFAULT_PAIR_CAP = 10**8
-# fewest summed-scan iterations for which class_counts starts a pool
-PARALLEL_MIN_SCAN = 50_000
 
 # per generator, the image vector of a bijection E_i+ -> E_i- (canonical order)
 Matching = tuple[tuple[int, ...], ...]
@@ -189,6 +187,11 @@ def _cycle_lengths(a, b) -> list[int]:
     return lengths
 
 
+def _cycle_type(p) -> Partition:
+    """Cycle type of the permutation with image vector p."""
+    return tuple(sorted(_cycle_lengths(range(len(p)), p), reverse=True))
+
+
 def _sigma_paths(occ: OccurrenceTable, sigma_parts) -> tuple[list[int], int]:
     """The path ends after the sigma edges alone, and the cycles they close."""
     other = list(occ.bare)
@@ -239,31 +242,30 @@ class PairScan(NamedTuple):
 _UNBALANCED_SCAN = PairScan(False, float("-inf"), (), None, {}, 0, 0)
 
 
+def class_chi(occ: OccurrenceTable, types: tuple[Partition, ...], blocks: int) -> int:
+    """chi of the pairs of class (types, blocks): blocks + cycles + #empty - 2L."""
+    return blocks + sum(map(len, types)) + occ.num_empty - occ.num_letters
+
+
 def pair_statistics(
-    t: WordTuple,
-    *,
-    cap: int = DEFAULT_PAIR_CAP,
-    collect_argmax: bool = True,
-    jobs: int = 1,
+    t: WordTuple, *, cap: int = DEFAULT_PAIR_CAP, collect_argmax: bool = True
 ) -> PairScan:
     """The chi histogram of all matching pairs of t, and the pairs achieving ch.
 
-    A pair of class (cycle types, blocks) has chi = blocks + sum of the
-    cycle counts + #empty - L, so the histogram, ch and the diagonal ch
-    (classes whose types are all ones, since sigma^-1 tau = id exactly
-    when sigma = tau) all come from ``class_counts``; ``jobs`` splits
-    that scan.  The argmax, only when collected, is the union of the
-    classes ``_maximal_components`` finds, sorted canonically.
+    The histogram, ch and the diagonal ch (classes whose types are all
+    ones, since sigma^-1 tau = id exactly when sigma = tau) all come
+    from the ``class_chi`` of each ``class_counts`` class.  The argmax,
+    only when collected, is the union of the classes
+    ``_maximal_components`` finds, sorted canonically.
     """
     t = t.cyclically_reduced()
     if not t.is_balanced():
         return _UNBALANCED_SCAN
     occ = occurrences(t)
-    shift = occ.num_empty - occ.num_letters
     hist: dict[int, int] = {}
     diag: int | None = None
-    for (types, blocks), count in class_counts(occ, cap=cap, jobs=jobs).items():
-        chi = blocks + sum(map(len, types)) + shift
+    for (types, blocks), count in class_counts(occ, cap=cap).items():
+        chi = class_chi(occ, types, blocks)
         hist[chi] = hist.get(chi, 0) + count
         if all(mu[0] == 1 for mu in types) and (diag is None or chi > diag):
             diag = chi
@@ -417,9 +419,7 @@ def _boundary_class(links, sizes) -> tuple:
     return tuple(words)
 
 
-def _boundary_classes(
-    occ: OccurrenceTable, sigma_range: tuple[int, int] | None = None
-) -> dict[tuple, list]:
+def _boundary_classes(occ: OccurrenceTable) -> dict[tuple, list]:
     """The boundaries the sigmas leave, merged by relabelling class.
 
     Once a sigma's edges are laid, the free slots are the tau ends, and
@@ -432,22 +432,18 @@ def _boundary_classes(
     one generator's indices alike on sources and targets only conjugates
     the pi that tau = sigma pi adds, which keeps every count the scan
     reads, so keys of one ``_boundary_class`` are merged.  Returns, per
-    class, [number of sigmas, links of one of them].  ``sigma_range``
-    slices the sigma enumeration, in lexicographic order.
+    class, [number of sigmas, links of one of them].
     """
     order = _label_order(occ)
     gens = [occ.active[gi] for gi in order]
     sizes = [occ.counts[i] for i in gens]
     bases = [sum(sizes[:j]) for j in range(len(sizes))]
     sources = [s for i in gens for s in occ.tau_src[i]]
-    sigma_iter = itertools.product(
-        *(itertools.permutations(range(occ.counts[i])) for i in occ.active)
-    )
-    if sigma_range is not None:
-        sigma_iter = itertools.islice(sigma_iter, *sigma_range)
     where = [0] * len(occ.bare)
     keys: dict[tuple, int] = {}
-    for sigma_parts in sigma_iter:
+    for sigma_parts in itertools.product(
+        *(itertools.permutations(range(occ.counts[i])) for i in occ.active)
+    ):
         other, closed = _sigma_paths(occ, sigma_parts)
         for i, gi, base in zip(gens, order, bases):
             tgt = occ.tau_tgt[i]
@@ -466,9 +462,7 @@ def _boundary_classes(
     return classes
 
 
-def _summed_scan(
-    occ: OccurrenceTable, sigma_range: tuple[int, int] | None = None
-) -> dict[tuple[tuple[Partition, ...], int], int]:
+def _summed_scan(occ: OccurrenceTable) -> dict[tuple[tuple[Partition, ...], int], int]:
     """Class counts, one pi loop per relabelling class of sigma boundaries.
 
     Each tau is written as sigma pi, so the cycle type of sigma^-1 tau is
@@ -480,10 +474,11 @@ def _summed_scan(
     and each pi over the generators other than g*, those edges are laid,
     as in the per-pair test oracle ``_scan``, and the pairs counted are
     the class's sigmas.  Only g*'s 2c labels, which come first, are free
-    then, so their partners are the boundary pattern.  A memo keyed on
-    the pattern holds the histogram of (cycle type of pi_g*, cycles its
-    edges close) over all pi_g*.  ``sigma_range`` slices the sigma
-    enumeration, in lexicographic order.
+    then, so their partners are the boundary pattern, source label 2m
+    paired with target label 2 P(m) + 1.  Relabelling g*'s indices
+    conjugates P and pi_g* alike, so the histogram of (cycle type of
+    pi_g*, cycles its edges close) over all pi_g* depends only on the
+    cycle type of P; the memo keyed on it holds at most p(c*) entries.
     """
     active = occ.active
     if not active:
@@ -491,7 +486,7 @@ def _summed_scan(
     order = _label_order(occ)
     sizes = [occ.counts[active[gi]] for gi in order]
     perms = [list(itertools.permutations(range(c))) for c in sizes]
-    types = [[Permutation(p).cycle_type() for p in ps] for ps in perms]
+    types = [[_cycle_type(p) for p in ps] for ps in perms]
     # the source and target labels of each generator after g*
     edges = []
     base = 2 * sizes[0]
@@ -507,7 +502,7 @@ def _summed_scan(
     c_star = sizes[0]
     # (other types, pattern, cycles before g*'s tau edges) -> pairs
     partial: dict[tuple, int] = {}
-    for (closed0, _), (weight, links) in _boundary_classes(occ, sigma_range).items():
+    for (closed0, _), (weight, links) in _boundary_classes(occ).items():
         # index m has source label 2m and target label 2m + 1
         partners = [0] * (2 * len(links))
         for m, n in enumerate(links):
@@ -524,38 +519,25 @@ def _summed_scan(
     star = order[0]
     # pattern labels: g*'s tau sources at even, its tau targets at odd ones
     src_index, tgt_index = range(0, 2 * c_star, 2), range(1, 2 * c_star, 2)
-    hist_of: dict[tuple[int, ...], dict[tuple[Partition, int], int]] = {}
+    hist_of: dict[Partition, dict[tuple[Partition, int], int]] = {}
     counts: dict[tuple[tuple[Partition, ...], int], int] = {}
     for (others, pattern, blocks), count in partial.items():
-        hist = hist_of.get(pattern)
+        shape = _cycle_type([label // 2 for label in pattern[::2]])
+        hist = hist_of.get(shape)
         if hist is None:
             hist = {}
             for p, mu in zip(perms[0], types[0]):
                 extra = _lay(list(pattern), src_index, tgt_index, p)
                 hist[mu, extra] = hist.get((mu, extra), 0) + 1
-            hist_of[pattern] = hist
+            hist_of[shape] = hist
         for (mu, extra), m in hist.items():
             key = (others[:star] + (mu,) + others[star:], blocks + extra)
             counts[key] = counts.get(key, 0) + count * m
     return counts
 
 
-def _class_counts_worker(args):
-    occ, lo, hi = args
-    return _summed_scan(occ, (lo, hi))
-
-
-def summed_scan_size(occ: OccurrenceTable) -> int:
-    """An upper bound on the work of ``_summed_scan``: prod(c_i!)^2 / max c_i!.
-
-    That is the pi-loop iterations with one class per sigma; the scan
-    runs the loop once per relabelling class, usually far fewer.
-    """
-    return occ.pair_count() // math.factorial(max(occ.counts, default=0))
-
-
 def class_counts(
-    occ: OccurrenceTable, *, cap: int = DEFAULT_PAIR_CAP, jobs: int = 1
+    occ: OccurrenceTable, *, cap: int = DEFAULT_PAIR_CAP
 ) -> dict[tuple[tuple[Partition, ...], int], int]:
     """Multiplicity of each (per-generator cycle types, block count) class.
 
@@ -563,28 +545,13 @@ def class_counts(
     exact trace: the Weingarten weight of a pair depends only on the
     cycle types, and the power of n only on the block count.  The cap
     applies to the full pair count, although ``_summed_scan`` visits
-    at most ``summed_scan_size`` of them.  With ``jobs`` > 1 and at least
-    ``PARALLEL_MIN_SCAN`` inner iterations, contiguous sigma slices are
-    scanned in worker processes and their counts summed; smaller scans
-    finish before a pool would start, so they stay serial.
+    far fewer pairs: it lays each sigma once and runs one pi loop per
+    relabelling class of their boundaries.
     """
     total = occ.pair_count()
     if total > cap:
         raise PairCapExceeded(total, cap)
-    match_count = occ.match_count()
-    small = summed_scan_size(occ) < PARALLEL_MIN_SCAN
-    if jobs <= 1 or match_count < jobs or small:
-        return _summed_scan(occ)
-    from concurrent.futures import ProcessPoolExecutor
-
-    bounds = [match_count * k // jobs for k in range(jobs + 1)]
-    tasks = [(occ, bounds[k], bounds[k + 1]) for k in range(jobs)]
-    counts: dict[tuple[tuple[Partition, ...], int], int] = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_class_counts_worker, tasks):
-            for key, count in part.items():
-                counts[key] = counts.get(key, 0) + count
-    return counts
+    return _summed_scan(occ)
 
 
 def commutator_length(

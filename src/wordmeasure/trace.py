@@ -17,6 +17,7 @@ from .ratfn import LaurentSeries, RationalFunction
 from .surfaces import (
     DEFAULT_PAIR_CAP,
     OccurrenceTable,
+    class_chi,
     class_counts,
     diagonal_max_euler,
     occurrences,
@@ -70,11 +71,10 @@ def _zero_result(laurent_terms: int) -> TraceResult:
 
 def _leading_from_counts(occ: OccurrenceTable, counts: dict) -> LeadingTerm:
     """Order-ch term: ch is the largest chi, its coefficient the Mobius sum."""
-    shift = occ.num_empty - occ.num_letters
     ch: int | None = None
     coefficient = 0
     for (types, blocks), count in counts.items():
-        chi = blocks + sum(len(mu) for mu in types) + shift
+        chi = class_chi(occ, types, blocks)
         if ch is None or chi > ch:
             ch = chi
             coefficient = 0
@@ -115,20 +115,19 @@ def trace_exact(
     *,
     cap: int = DEFAULT_PAIR_CAP,
     laurent_terms: int = DEFAULT_LAURENT_TERMS,
-    jobs: int = 1,
 ) -> TraceResult:
     """The expected product of traces as a canonical rational function.
 
     Identically zero for unbalanced tuples.  Empty words contribute a
     factor n each.  Valid for integer n >= max occurrences of a single
-    generator.  One class-count scan feeds the function, the ch-term and
-    the parity check; ``jobs`` > 1 splits that scan across processes.
+    generator.  One serial class-count scan feeds the function, the
+    ch-term and the parity check.
     """
     t = t.cyclically_reduced()
     if not t.is_balanced():
         return _zero_result(laurent_terms)
     occ = occurrences(t)
-    return _assemble(occ, class_counts(occ, cap=cap, jobs=jobs), laurent_terms)
+    return _assemble(occ, class_counts(occ, cap=cap), laurent_terms)
 
 
 def trace_leading(t: WordTuple, *, cap: int = DEFAULT_PAIR_CAP) -> LeadingTerm:

@@ -63,15 +63,6 @@ class TestTrace:
         obj = json.loads(out)
         assert obj["function"]["human"] == "1"
 
-    @pytest.mark.parametrize("min_scan", [None, 0])
-    def test_jobs_output_identical(self, capsys, monkeypatch, min_scan):
-        if min_scan is not None:  # force the worker pool on this small scan
-            monkeypatch.setattr(surfaces, "PARALLEL_MIN_SCAN", min_scan)
-        _, serial, _ = run(capsys, "trace", "-w", "[x,y]^3", "--json", "--jobs", "1")
-        code, parallel, _ = run(capsys, "trace", "-w", "[x,y]^3", "--json", "--jobs", "2")
-        assert code == 0
-        assert parallel == serial
-
     def test_one_scan_and_one_assembly(self, capsys, monkeypatch):
         calls = {"class_counts": 0, "_assemble": 0}
 
@@ -303,7 +294,7 @@ class TestErrorsAndConfig:
         ["verify-mc", "-w", "[x,y]", "--n", "3", "--samples", "0"],
         ["verify-mc", "-w", "[x,y]", "--n", "3", "--samples", "-5"],
         ["wg", "--L", "-1"],
-        ["trace", "-w", "[x,y]", "--jobs", "0"],
+        ["verify-mc", "-w", "[x,y]", "--n", "3", "--jobs", "0"],
         ["chi", "-w", "[x,y]", "--pair-cap", "0"],
         ["classes", "-w", "[x,y]", "--pair-cap", "-3"],
     ],
@@ -444,7 +435,7 @@ def test_matching_segment_past_the_rank_names_the_flag(capsys, flag):
 
 def test_non_integer_jobs_env_is_named(capsys, monkeypatch):
     monkeypatch.setenv("WORDMEASURE_PARALLELISM", "abc")
-    code, out, err = run(capsys, "chi", "-w", "[x,y]")
+    code, out, err = run(capsys, "verify-mc", "-w", "[x,y]", "--n", "3")
     assert code == 1
     assert err.startswith("error:")
     assert "WORDMEASURE_PARALLELISM" in err and "'abc'" in err
@@ -457,8 +448,10 @@ def test_non_integer_jobs_env_is_named(capsys, monkeypatch):
         ["scl", "-w", "[x,y]", "--budget", "2"],
         ["incompressible", "-w", "[x^2,y]", "--sigma", "2,1;1", "--tau", "2,1;1"],
         ["classes", "-w", "[x,y]"],
+        ["trace", "-w", "[x,y]"],
+        ["chi", "-w", "[x,y]"],
     ],
-    ids=["scl", "incompressible", "classes"],
+    ids=["scl", "incompressible", "classes", "trace", "chi"],
 )
 def test_jobs_rejected_where_nothing_is_split(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv, "--jobs", "2")

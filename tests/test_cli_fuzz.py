@@ -5,10 +5,10 @@ their ranges, must exit 0, 1 or 2 without an exception escaping
 ``main``.  Each argv runs with and without ``--json``, which must not
 change the exit code or stderr, and every ``--json`` output must
 re-serialize byte for byte.  The words have at most 3 positive
-occurrences of each of x, y and z, so every scan is far below the
-process-pool threshold; ``verify-mc`` always gets ``--jobs 1``, so no
-sampling pool starts either.  Values inside a flag's range are listed
-first, since the generator favours the first entries.
+occurrences of each of x, y and z, so every scan is small;
+``verify-mc`` always gets ``--jobs 1``, so no sampling pool starts.
+Values inside a flag's range are listed first, since the generator
+favours the first entries.
 """
 
 import contextlib
@@ -83,12 +83,11 @@ def _words(max_words: int = 2) -> st.SearchStrategy:
 
 
 WORD_FLAGS = (_optional("--rank", [3, 2, 1, 0, -1]), _optional("--pair-cap", [10**8, 100, 2, 1]))
-JOBS = _optional("--jobs", [1, 2, 0, -1])
 MATCHINGS = ["", "2,1;1", "1,2;2,1", "2,1", "1;1", "1", "3,1,2;1", "x", "1;1;7"]
 
 ARGV = {
-    "trace": _argv(_words(), *WORD_FLAGS, JOBS, _optional("--laurent", [3, 1, 0, -1])),
-    "chi": _argv(_words(), *WORD_FLAGS, JOBS, st.sampled_from([[], ["--histogram"]])),
+    "trace": _argv(_words(), *WORD_FLAGS, _optional("--laurent", [3, 1, 0, -1])),
+    "chi": _argv(_words(), *WORD_FLAGS, st.sampled_from([[], ["--histogram"]])),
     "classes": _argv(_words(), *WORD_FLAGS),
     "incompressible": _argv(
         _words(), *WORD_FLAGS, _required("--sigma", MATCHINGS), _required("--tau", MATCHINGS)

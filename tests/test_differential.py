@@ -153,36 +153,6 @@ def test_class_counts_match_scan_on_random_tuples(t, reduce):
     assert class_counts(occ) == _folded_scan(t)
 
 
-def test_sliced_scans_sum_to_the_whole():
-    t = parse_tuple(["[x,y]^3"], 2)
-    occ = occurrences(t)
-    bounds = [0, 1, 7, 7, 20, occ.match_count()]
-    assert bounds[-2] < bounds[-1]
-    total = {}
-    for lo, hi in zip(bounds, bounds[1:]):
-        for key, count in surfaces._summed_scan(occ, (lo, hi)).items():
-            total[key] = total.get(key, 0) + count
-    assert total == _folded_scan(t)
-
-
-def test_pool_route_matches_scan(monkeypatch):
-    monkeypatch.setattr(surfaces, "PARALLEL_MIN_SCAN", 0)
-    t = parse_tuple(["[x,y^2][x,z]"], 3)
-    assert class_counts(occurrences(t), jobs=2) == _folded_scan(t)
-
-
-def test_small_scans_stay_serial(monkeypatch):
-    import concurrent.futures
-
-    def no_pool(*_, **__):
-        raise AssertionError("pool started for a small scan")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    occ = occurrences(parse_tuple(["[x,y]^4"], 2))
-    assert surfaces.summed_scan_size(occ) < surfaces.PARALLEL_MIN_SCAN
-    assert class_counts(occ, jobs=2) == class_counts(occ)
-
-
 def test_pair_cap_raised_before_any_work(monkeypatch):
     def no_scan(*_):
         raise AssertionError("scan started above the cap")

@@ -118,10 +118,29 @@ class TestHistograms:
         scan = pair_statistics(XY2)
         assert scan.histogram == {-3: 12, -5: 4}
 
-    def test_parallel_scan_matches(self):
-        serial = pair_statistics(XY2, jobs=1)
-        parallel = pair_statistics(XY2, jobs=2)
-        assert serial == parallel
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
+    def test_g_star_histogram_depends_on_cycle_type_alone(self, c):
+        # the premise of the summed scan's memo: a boundary pattern pairs
+        # g*'s source label 2m with target label 2 P(m) + 1, and the
+        # histogram of (cycle type of pi, cycles pi's edges close) over
+        # all pi is the same for every P of one cycle type
+        sources, targets = range(0, 2 * c, 2), range(1, 2 * c, 2)
+        perms = list(itertools.permutations(range(c)))
+        by_type = {}
+        for P in perms:
+            pattern = [0] * (2 * c)
+            for m, n in enumerate(P):
+                pattern[2 * m] = 2 * n + 1
+                pattern[2 * n + 1] = 2 * m
+            hist = {}
+            for pi in perms:
+                closed = _lay(pattern.copy(), sources, targets, pi)
+                key = (Permutation(pi).cycle_type(), closed)
+                hist[key] = hist.get(key, 0) + 1
+            by_type.setdefault(Permutation(P).cycle_type(), []).append(hist)
+        assert len(by_type) == [1, 2, 3, 5, 7][c - 1]
+        for hists in by_type.values():
+            assert all(h == hists[0] for h in hists)
 
 
 class TestMaxEuler:

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -184,20 +182,28 @@ def test_balance_invariant_under_reduction(w):
     assert t.is_balanced() == reduced.is_balanced() == cyclic.is_balanced()
 
 
-def _all_words_up_to(rank, max_len):
+def _reduced_words_up_to(rank, max_len):
+    """Every freely reduced word of at most max_len letters."""
     alphabet = [Letter(g, s) for g in range(1, rank + 1) for s in (1, -1)]
-    for k in range(max_len + 1):
-        for combo in itertools.product(alphabet, repeat=k):
-            yield Word(combo)
+    level = [()]
+    for _ in range(max_len):
+        yield from map(Word, level)
+        level = [
+            combo + (a,) for combo in level for a in alphabet
+            if not combo or combo[-1] != a.inverse()
+        ]
+    yield from map(Word, level)
 
 
 @pytest.mark.parametrize("text", ["X [x,y] x", "[x,y]^2", "x Y x y X y"])
 def test_cyclic_reduction_minimizes_conjugacy_length(text):
-    # brute-force oracle: conjugate by every word up to the original length
+    # brute-force oracle: conjugate by every word up to the original
+    # length; u and u.reduce(), no longer than u, give the same conjugate,
+    # so the reduced words suffice
     w = parse(text, 2)
     reduced = w.cyclic_reduce()
     best = min(
         len((u * w * u.inverse()).reduce())
-        for u in _all_words_up_to(2, len(w))
+        for u in _reduced_words_up_to(2, len(w))
     )
     assert len(reduced) == best
