@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -29,8 +28,6 @@ if TYPE_CHECKING:
     from .words import WordTuple
 
 SCHEMA_VERSION = "1"
-SEED_ENV = "WORDMEASURE_SEED"
-JOBS_ENV = "WORDMEASURE_PARALLELISM"
 
 
 def canonical_dumps(obj) -> str:
@@ -103,6 +100,8 @@ def _read_words_file(path: str) -> tuple[list[str], int | None]:
             if not line:
                 continue
             if line.startswith("rank="):
+                if rank is not None:
+                    raise ValueError(f"{path}: the rank= header is given twice")
                 text = line[len("rank="):]
                 try:
                     rank = int(text)
@@ -133,22 +132,6 @@ def _words(args) -> tuple[WordTuple, int]:
     if not texts:
         raise ValueError("no words given; use -w or --words-file")
     return word_tuple([parse(text, rank) for text in texts], rank), cap
-
-
-def _setting(value: int | None, flag: str, env: str, least: int) -> int:
-    """A flag's value, else its environment variable's, else ``least``.
-
-    Also checked to be at least ``least``.
-    """
-    if value is None:
-        text = os.environ.get(env, str(least))
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(f"{env} must be an integer, got {text!r}") from None
-    if value < least:
-        raise ValueError(f"{flag} / {env} must be at least {least}, got {value}")
-    return value
 
 
 def _emit(as_json: bool, obj: dict, text_lines: list[str]) -> None:
@@ -374,9 +357,10 @@ def cmd_verify_mc(args) -> int:
     from .ratfn import PoleError
     from .trace import trace_exact
 
-    jobs = _setting(args.jobs, "--jobs", JOBS_ENV, 1)
     t, cap = _words(args)
-    seed = _setting(args.seed, "--seed", SEED_ENV, 0)
+    seed = args.seed
+    if seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {seed}")
     # estimate's own checks, made before the exact scan and the numpy import
     if args.n < 1:
         raise ValueError("dimension must be positive")
@@ -385,7 +369,7 @@ def cmd_verify_mc(args) -> int:
     from .montecarlo import estimate  # the only subcommand that loads numpy
 
     result = trace_exact(t, cap=cap)
-    mc = estimate(t, args.n, args.samples, seed, jobs=jobs)
+    mc = estimate(t, args.n, args.samples, seed)
     lines = [
         f"words: {t}  (rank {t.rank}), n = {args.n}, samples = {args.samples}, seed = {seed}",
         f"mc mean = {mc.mean.real:+.6f} {mc.mean.imag:+.6f}i, stderr = {mc.stderr:.2e}",
@@ -404,14 +388,13 @@ def cmd_verify_mc(args) -> int:
     except (ValueError, PoleError):
         exact = None
     if exact is not None:
-        sigmas = (
-            abs(mc.mean.real - float(exact)) / mc.stderr if mc.stderr else 0.0
-        )
+        miss = abs(mc.mean.real - float(exact))
         tol = 4 * mc.stderr + 1e-12  # floor covers point-mass distributions
-        ok = (
-            abs(mc.mean.real - float(exact)) <= tol
-            and abs(mc.mean.imag) <= tol
-        )
+        ok = miss <= tol and abs(mc.mean.imag) <= tol
+        if mc.stderr:
+            sigmas = miss / mc.stderr
+        else:  # a point mass: it agrees exactly or not at all
+            sigmas = 0.0 if ok else float("inf")
         lines.append(f"exact = {exact} = {float(exact):+.6f}")
         lines.append(f"agreement: {sigmas:.2f} sigma -> {'ok' if ok else 'FAILED'}")
         obj["exact"] = _fraction_pair(exact)
@@ -487,12 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify-mc", help="Monte-Carlo cross-check of the exact value")
     _add_word_options(p)
-    p.add_argument("--jobs", type=int, default=None,
-                   help=f"worker processes for the sampling (env {JOBS_ENV})")
     p.add_argument("--n", type=int, required=True, help="matrix dimension")
     p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"RNG seed (env {SEED_ENV}, default 0)")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.set_defaults(func=cmd_verify_mc)
 
     return parser

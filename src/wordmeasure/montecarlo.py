@@ -42,12 +42,7 @@ class McEstimate(NamedTuple):
 
 def sample_haar(n: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-distributed n x n unitary matrix."""
-    return _haar_batch(n, 1, rng)[:, :, 0]
-
-
-def _haar_batch(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """``size`` Haar unitaries as an (n, n, size) array."""
-    return _Batch(n, 1, size).haar(rng)
+    return _Batch(n, 1, 1).haar(rng)[:, :, 0]
 
 
 class _Batch:
@@ -177,49 +172,19 @@ def _accumulate_samples(
     return complex(total), sum_sq_re, sum_sq_im
 
 
-def _chunk_worker(args) -> tuple[complex, float, float]:
-    t, n, samples, seed_seq = args
-    return _accumulate_samples(t, n, samples, np.random.default_rng(seed_seq))
-
-
-def estimate(
-    t: WordTuple,
-    n: int,
-    samples: int,
-    seed: int = 0,
-    *,
-    jobs: int = 1,
-) -> McEstimate:
+def estimate(t: WordTuple, n: int, samples: int, seed: int = 0) -> McEstimate:
     """Estimate the expected product of traces at dimension n.
 
-    Draws i.i.d. tuples of Haar unitaries, evaluates every word by
-    matrix multiplication and averages the product of traces.  With
-    ``jobs`` > 1 the samples are split across worker processes whose
-    streams use seeds spawned from ``seed``; results are reproducible
-    at a fixed job count (but differ between job counts, so compare
-    estimates only up to their standard errors).
+    Draws i.i.d. tuples of Haar unitaries from one ``default_rng(seed)``
+    stream, evaluates every word by matrix multiplication and averages
+    the product of traces.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
     if samples < 1:
         raise ValueError(f"sample count must be positive, got {samples}")
-    if jobs > 1 and samples >= 2 * jobs:
-        from concurrent.futures import ProcessPoolExecutor
-
-        children = np.random.SeedSequence(seed).spawn(jobs)
-        bounds = [samples * k // jobs for k in range(jobs + 1)]
-        tasks = [
-            (t, n, bounds[k + 1] - bounds[k], children[k])
-            for k in range(jobs)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_chunk_worker, tasks))
-        total = sum(p[0] for p in parts)
-        sum_sq_re = sum(p[1] for p in parts)
-        sum_sq_im = sum(p[2] for p in parts)
-    else:
-        rng = np.random.default_rng(seed)
-        total, sum_sq_re, sum_sq_im = _accumulate_samples(t, n, samples, rng)
+    rng = np.random.default_rng(seed)
+    total, sum_sq_re, sum_sq_im = _accumulate_samples(t, n, samples, rng)
     mean = total / samples
     var_re = sum_sq_re / samples - mean.real**2
     var_im = sum_sq_im / samples - mean.imag**2

@@ -193,6 +193,22 @@ class TestOtherCommands:
         obj = json.loads(out)
         assert obj["within_4_sigma"] is True
 
+    @pytest.mark.parametrize(
+        "n, samples, line",
+        [
+            # a single sample has stderr 0 and misses 1/2: infinitely many sigma
+            ("2", "1", "agreement: inf sigma -> FAILED"),
+            # at n = 1 every sample is exactly 1, the exact value
+            ("1", "5", "agreement: 0.00 sigma -> ok"),
+        ],
+        ids=["miss", "hit"],
+    )
+    def test_verify_mc_with_zero_stderr(self, capsys, n, samples, line):
+        code, out, _ = run(capsys, "verify-mc", "-w", "[x,y]", "--n", n, "--samples", samples)
+        assert code == 0
+        assert "stderr = 0.00e+00" in out
+        assert out.splitlines()[-1] == line
+
 
 class TestErrorsAndConfig:
     def test_syntax_error_exit_code(self, capsys):
@@ -274,13 +290,12 @@ class TestErrorsAndConfig:
         assert code == 0
         assert "ch = -3" in out
 
-    def test_seed_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("WORDMEASURE_SEED", "21")
-        code, out, _ = run(
-            capsys, "verify-mc", "-w", "x", "-w", "X", "--rank", "1",
-            "--n", "2", "--samples", "1000", "--json",
-        )
-        assert json.loads(out)["seed"] == 21
+    def test_words_file_with_two_rank_headers_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("rank=2\n[x,y]\nrank=3\n[x,z]\n")
+        code, out, err = run(capsys, "chi", "--words-file", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: the rank= header is given twice\n"
 
     def test_determinism(self, capsys):
         _, first, _ = run(capsys, "classes", "-w", "[x,y][x,z]", "--json")
@@ -294,12 +309,11 @@ class TestErrorsAndConfig:
         ["verify-mc", "-w", "[x,y]", "--n", "3", "--samples", "0"],
         ["verify-mc", "-w", "[x,y]", "--n", "3", "--samples", "-5"],
         ["wg", "--L", "-1"],
-        ["verify-mc", "-w", "[x,y]", "--n", "3", "--jobs", "0"],
         ["chi", "-w", "[x,y]", "--pair-cap", "0"],
         ["classes", "-w", "[x,y]", "--pair-cap", "-3"],
     ],
     ids=[
-        "samples-zero", "samples-negative", "wg-negative-L", "jobs-zero",
+        "samples-zero", "samples-negative", "wg-negative-L",
         "pair-cap-zero", "pair-cap-negative",
     ],
 )
@@ -334,19 +348,12 @@ def test_verify_mc_rejects_before_the_scan(capsys, monkeypatch, flags, message):
 
 
 @pytest.mark.parametrize(
-    "env, flags, message",
-    [
-        ("abc", [], "error: WORDMEASURE_SEED must be an integer, got 'abc'\n"),
-        ("-3", [], "error: --seed / WORDMEASURE_SEED must be at least 0, got -3\n"),
-        (None, ["--seed", "-1"],
-         "error: --seed / WORDMEASURE_SEED must be at least 0, got -1\n"),
-    ],
-    ids=["env-malformed", "env-negative", "flag-negative"],
+    "flags, message",
+    [(["--seed", "-1"], "error: --seed must be at least 0, got -1\n")],
+    ids=["flag-negative"],
 )
-def test_verify_mc_names_a_bad_seed_before_the_scan(capsys, monkeypatch, env, flags, message):
+def test_verify_mc_names_a_bad_seed_before_the_scan(capsys, monkeypatch, flags, message):
     _forbid_scan(monkeypatch)
-    if env is not None:
-        monkeypatch.setenv("WORDMEASURE_SEED", env)
     code, out, err = run(
         capsys, "verify-mc", "-w", "[x,y]^4", "--n", "3", "--samples", "10", *flags
     )
@@ -368,13 +375,16 @@ def test_trace_names_a_bad_laurent_depth_before_the_scan(capsys, monkeypatch, te
         ["classes", "-w", "[x,y]^2"],
         ["scl", "-w", "[x,y]^2", "--budget", "2"],
         ["incompressible", "-w", "[x^2,y]", "--sigma", "2,1;1", "--tau", "2,1;1"],
+        ["verify-mc", "-w", "[x,y]", "--n", "3", "--samples", "500", "--json"],
     ],
-    ids=["trace", "chi", "classes", "scl", "incompressible"],
+    ids=["trace", "chi", "classes", "scl", "incompressible", "verify-mc"],
 )
 def test_seed_env_is_read_by_verify_mc_only(capsys, monkeypatch, argv):
+    # no subcommand, verify-mc included, reads either variable
     expected = run(capsys, *argv)
     assert expected[0] == 0
     monkeypatch.setenv("WORDMEASURE_SEED", "abc")
+    monkeypatch.setenv("WORDMEASURE_PARALLELISM", "abc")
     assert run(capsys, *argv) == expected
 
 
@@ -433,15 +443,6 @@ def test_matching_segment_past_the_rank_names_the_flag(capsys, flag):
     assert (code, out) == (0, "pair chi = -1\nincompressible: yes\n")
 
 
-def test_non_integer_jobs_env_is_named(capsys, monkeypatch):
-    monkeypatch.setenv("WORDMEASURE_PARALLELISM", "abc")
-    code, out, err = run(capsys, "verify-mc", "-w", "[x,y]", "--n", "3")
-    assert code == 1
-    assert err.startswith("error:")
-    assert "WORDMEASURE_PARALLELISM" in err and "'abc'" in err
-    assert out == ""
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -450,8 +451,9 @@ def test_non_integer_jobs_env_is_named(capsys, monkeypatch):
         ["classes", "-w", "[x,y]"],
         ["trace", "-w", "[x,y]"],
         ["chi", "-w", "[x,y]"],
+        ["verify-mc", "-w", "[x,y]", "--n", "3", "--samples", "500"],
     ],
-    ids=["scl", "incompressible", "classes", "trace", "chi"],
+    ids=["scl", "incompressible", "classes", "trace", "chi", "verify-mc"],
 )
 def test_jobs_rejected_where_nothing_is_split(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv, "--jobs", "2")
@@ -515,11 +517,11 @@ def test_verify_mc_loads_numpy_and_runs():
     assert json.loads(proc.stdout)["within_4_sigma"] is True
 
 
-@pytest.mark.parametrize("jobs", [[], ["--jobs", "2"]], ids=["serial", "jobs2"])
-def test_verify_mc_output_is_reproducible(jobs):
+@pytest.mark.parametrize("flags", [[]], ids=["serial"])
+def test_verify_mc_output_is_reproducible(flags):
     argv = [
         "verify-mc", "-w", "[x,y]^2", "--n", "4", "--samples", "4000",
-        "--seed", "3", "--json", *jobs,
+        "--seed", "3", "--json", *flags,
     ]
     code = f"import sys, wordmeasure.cli; sys.exit(wordmeasure.cli.main({argv!r}))"
     first, second = run_fresh(code), run_fresh(code)
