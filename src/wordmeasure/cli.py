@@ -490,6 +490,11 @@ def main(argv=None) -> int:
         # WordSyntaxError, RankError and UnbalancedError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy names the array it could not allocate; a list names nothing
+        detail = f": {exc}" if str(exc) else ""
+        print(f"limit exceeded: out of memory{detail}", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         from .surfaces import PairCapExceeded  # loaded by whatever raised it
 

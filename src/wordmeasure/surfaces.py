@@ -463,77 +463,65 @@ def _boundary_classes(occ: OccurrenceTable) -> dict[tuple, list]:
 
 
 def _summed_scan(occ: OccurrenceTable) -> dict[tuple[tuple[Partition, ...], int], int]:
-    """Class counts, one pi loop per relabelling class of sigma boundaries.
+    """Class counts, one generator at a time, states merged by boundary class.
 
     Each tau is written as sigma pi, so the cycle type of sigma^-1 tau is
-    that of pi, read from one list per generator.  ``_boundary_classes``
-    gives, per class, its sigma count and the boundary permutation of
-    one of its sigmas.  Index m gets source label 2m and target label
-    2m + 1, paired as that permutation says, and pi's edge from index k
-    runs from k's source label to pi(k)'s target label.  For each class
-    and each pi over the generators other than g*, those edges are laid,
-    as in the per-pair test oracle ``_scan``, and the pairs counted are
-    the class's sigmas.  Only g*'s 2c labels, which come first, are free
-    then, so their partners are the boundary pattern, source label 2m
-    paired with target label 2 P(m) + 1.  Relabelling g*'s indices
-    conjugates P and pi_g* alike, so the histogram of (cycle type of
-    pi_g*, cycles its edges close) over all pi_g* depends only on the
-    cycle type of P; the memo keyed on it holds at most p(c*) entries.
+    that of pi, read per generator.  Index m gets source label 2m and
+    target label 2m + 1, paired as a boundary permutation says, and pi's
+    edge from index k runs from k's source label to pi(k)'s target label,
+    as in the per-pair test oracle ``_scan``.  The generators go in
+    reverse ``_label_order``, so g* comes last and the indices left are
+    a prefix.  Every open path runs from a source label to a target
+    label, so once one generator's edges are laid, the boundary left on
+    the remaining indices is again a permutation, ``other[2m] // 2``.  A
+    state is one ``_boundary_class`` of it: relabelling the remaining
+    indices conjugates their pi, which keeps every count read later.  It
+    keeps one boundary of the class and the histogram {(cycle types so
+    far, cycles closed): pairs}; the first states come from
+    ``_boundary_classes``, and after g* one state holds the class counts.
     """
     active = occ.active
     if not active:
         return {((), 0): 1}
     order = _label_order(occ)
     sizes = [occ.counts[active[gi]] for gi in order]
-    perms = [list(itertools.permutations(range(c))) for c in sizes]
-    types = [[_cycle_type(p) for p in ps] for ps in perms]
-    # the source and target labels of each generator after g*
-    edges = []
-    base = 2 * sizes[0]
-    for c in sizes[1:]:
-        edges.append((range(base, base + 2 * c, 2), range(base + 1, base + 2 * c, 2)))
-        base += 2 * c
-    # pi over the other generators: (pi per generator, their cycle types)
-    pis = [
-        ([p for p, _ in combo], tuple(mu for _, mu in combo))
-        for combo in itertools.product(*map(zip, perms[1:], types[1:]))
-    ]
-
-    c_star = sizes[0]
-    # (other types, pattern, cycles before g*'s tau edges) -> pairs
-    partial: dict[tuple, int] = {}
-    for (closed0, _), (weight, links) in _boundary_classes(occ).items():
-        # index m has source label 2m and target label 2m + 1
-        partners = [0] * (2 * len(links))
-        for m, n in enumerate(links):
-            partners[2 * m] = 2 * n + 1
-            partners[2 * n + 1] = 2 * m
-        for pi_parts, pi_types in pis:
-            other = partners.copy()
-            closed = closed0
-            for (src, tgt), p in zip(edges, pi_parts):
-                closed += _lay(other, src, tgt, p)
-            key = (pi_types, tuple(other[:2 * c_star]), closed)
-            partial[key] = partial.get(key, 0) + weight
-
+    # class -> [one boundary of it, {(cycle types, cycles closed): pairs}]
+    states: dict[tuple, list] = {}
+    for (closed, name), (count, links) in _boundary_classes(occ).items():
+        hist = states.setdefault(name, [links, {}])[1]
+        hist[(), closed] = hist.get(((), closed), 0) + count
+    for j in reversed(range(len(sizes))):
+        base, c = sum(sizes[:j]), sizes[j]
+        src, tgt = range(2 * base, 2 * (base + c), 2), range(2 * base + 1, 2 * (base + c), 2)
+        pis = [(p, _cycle_type(p)) for p in itertools.permutations(range(c))]
+        names: dict[tuple, tuple] = {}
+        merged: dict[tuple, list] = {}
+        for links, hist in states.values():
+            partners = [0] * (2 * len(links))
+            for m, n in enumerate(links):
+                partners[2 * m] = 2 * n + 1
+                partners[2 * n + 1] = 2 * m
+            # (boundary left, cycle type of pi, cycles closed) -> pis
+            outcomes: dict[tuple, int] = {}
+            for p, mu in pis:
+                other = partners.copy()
+                extra = _lay(other, src, tgt, p)
+                key = (tuple([label // 2 for label in other[:2 * base:2]]), mu, extra)
+                outcomes[key] = outcomes.get(key, 0) + 1
+            for (rest, mu, extra), m in outcomes.items():
+                name = names.get(rest)
+                if name is None:
+                    name = names[rest] = _boundary_class(rest, sizes[:j])
+                target = merged.setdefault(name, [rest, {}])[1]
+                for (types, closed), count in hist.items():
+                    key = ((mu, *types), closed + extra)
+                    target[key] = target.get(key, 0) + count * m
+        states = merged
+    ((_, hist),) = states.values()
+    # types in label order, g* first, back to active order
     star = order[0]
-    # pattern labels: g*'s tau sources at even, its tau targets at odd ones
-    src_index, tgt_index = range(0, 2 * c_star, 2), range(1, 2 * c_star, 2)
-    hist_of: dict[Partition, dict[tuple[Partition, int], int]] = {}
-    counts: dict[tuple[tuple[Partition, ...], int], int] = {}
-    for (others, pattern, blocks), count in partial.items():
-        shape = _cycle_type([label // 2 for label in pattern[::2]])
-        hist = hist_of.get(shape)
-        if hist is None:
-            hist = {}
-            for p, mu in zip(perms[0], types[0]):
-                extra = _lay(list(pattern), src_index, tgt_index, p)
-                hist[mu, extra] = hist.get((mu, extra), 0) + 1
-            hist_of[shape] = hist
-        for (mu, extra), m in hist.items():
-            key = (others[:star] + (mu,) + others[star:], blocks + extra)
-            counts[key] = counts.get(key, 0) + count * m
-    return counts
+    return {(t[1:star + 1] + t[:1] + t[star + 1:], blocks): count
+            for (t, blocks), count in hist.items()}
 
 
 def class_counts(
@@ -545,8 +533,8 @@ def class_counts(
     exact trace: the Weingarten weight of a pair depends only on the
     cycle types, and the power of n only on the block count.  The cap
     applies to the full pair count, although ``_summed_scan`` visits
-    far fewer pairs: it lays each sigma once and runs one pi loop per
-    relabelling class of their boundaries.
+    far fewer pairs: it lays each sigma once and each generator's pi
+    once per relabelling class of the boundary left.
     """
     total = occ.pair_count()
     if total > cap:

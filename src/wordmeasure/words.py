@@ -11,8 +11,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator, NamedTuple
 
 SYMBOLIC_GENERATORS = "xyzt"
-# the longest power the parser builds; a longer one would exhaust memory
+# the longest word the parser builds; a longer one would exhaust memory
 MAX_POWER_LETTERS = 10**6
+# the deepest nesting of brackets the parser descends into
+MAX_NESTING = 100
 
 
 class WordSyntaxError(ValueError):
@@ -206,6 +208,7 @@ class _Parser:
         self.text = text
         self.rank = rank
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> WordSyntaxError:
         return WordSyntaxError(message, self.pos)
@@ -217,6 +220,11 @@ class _Parser:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
+    def too_long(self, what: str, position: int) -> WordSyntaxError:
+        return WordSyntaxError(
+            f"{what} makes a word of more than {MAX_POWER_LETTERS} letters", position
+        )
+
     def parse_word(self, stop: str = "") -> Word:
         letters: list[Letter] = []
         while True:
@@ -224,7 +232,11 @@ class _Parser:
             ch = self.peek()
             if not ch or ch in stop:
                 return Word(letters)
-            letters.extend(self.parse_term().letters)
+            start = self.pos
+            term = self.parse_term()
+            if len(letters) + len(term) > MAX_POWER_LETTERS:
+                raise self.too_long("the term", start)
+            letters.extend(term.letters)
 
     def parse_term(self) -> Word:
         atom = self.parse_atom()
@@ -236,8 +248,14 @@ class _Parser:
 
     def parse_atom(self) -> Word:
         ch = self.peek()
+        if ch not in ("[", "("):
+            return Word([self.parse_letter()])
+        if self.depth == MAX_NESTING:
+            raise self.error(f"brackets nested more than {MAX_NESTING} deep")
+        self.depth += 1
+        start = self.pos
+        self.pos += 1
         if ch == "[":
-            self.pos += 1
             u = self.parse_word(stop=",]")
             if self.peek() != ",":
                 raise self.error("expected ',' in commutator")
@@ -245,16 +263,16 @@ class _Parser:
             v = self.parse_word(stop="]")
             if self.peek() != "]":
                 raise self.error("expected ']' to close commutator")
-            self.pos += 1
-            return commutator(u, v)
-        if ch == "(":
-            self.pos += 1
+            if 2 * (len(u) + len(v)) > MAX_POWER_LETTERS:
+                raise self.too_long("the commutator", start)
+            w = commutator(u, v)
+        else:
             w = self.parse_word(stop=")")
             if self.peek() != ")":
                 raise self.error("expected ')'")
-            self.pos += 1
-            return w
-        return Word([self.parse_letter()])
+        self.pos += 1
+        self.depth -= 1
+        return w
 
     def parse_letter(self) -> Letter:
         ch = self.peek()
@@ -303,10 +321,7 @@ class _Parser:
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             k = None
         if k is None or len(atom) * abs(k) > MAX_POWER_LETTERS:
-            raise WordSyntaxError(
-                f"exponent {text} makes a word of more than "
-                f"{MAX_POWER_LETTERS} letters", start,
-            )
+            raise self.too_long(f"exponent {text}", start)
         return atom ** k
 
 
@@ -315,9 +330,11 @@ def parse(text: str, rank: int | None) -> Word:
 
     Commutator brackets and integer powers are macros expanded at parse
     time; whitespace between terms is ignored.  Empty input denotes the
-    empty word.  A power of more than ``MAX_POWER_LETTERS`` letters is
-    a syntax error.  A rank of None accepts every generator index; a
-    negative rank is rejected before any generator is read.
+    empty word.  A power, commutator or word of more than
+    ``MAX_POWER_LETTERS`` letters is a syntax error, raised before it is
+    built, as are brackets nested more than ``MAX_NESTING`` deep.  A
+    rank of None accepts every generator index; a negative rank is
+    rejected before any generator is read.
     """
     if rank is not None and rank < 0:
         raise ValueError("rank must be nonnegative")

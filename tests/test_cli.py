@@ -279,6 +279,30 @@ class TestErrorsAndConfig:
             "letters (at position 2)\n"
         )
 
+    def test_deep_brackets_are_a_syntax_error(self):
+        # in a fresh process, where a RecursionError would print a traceback
+        argv = ["chi", "-w", "(" * 400 + "x" + ")" * 400]
+        proc = run_fresh(
+            f"import sys, wordmeasure.cli; sys.exit(wordmeasure.cli.main({argv!r}))"
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: brackets nested more than 100 deep (at position 100)\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify-mc", "-w", "[x,y]", "--n", "10000000", "--samples", "1"],
+             "out of memory: Unable to allocate "),
+            (["trace", "-w", "[x,y]", "--rank", str(10**12)], "out of memory\n"),
+        ],
+        ids=["verify-mc", "trace"],
+    )
+    def test_out_of_memory_is_a_limit_error(self, capsys, argv, message):
+        # petabytes and terabytes: the allocation is refused at once
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"limit exceeded: {message}")
+
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")
         assert code == 0

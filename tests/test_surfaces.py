@@ -120,10 +120,11 @@ class TestHistograms:
 
     @pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
     def test_g_star_histogram_depends_on_cycle_type_alone(self, c):
-        # the premise of the summed scan's memo: a boundary pattern pairs
-        # g*'s source label 2m with target label 2 P(m) + 1, and the
-        # histogram of (cycle type of pi, cycles pi's edges close) over
-        # all pi is the same for every P of one cycle type
+        # the one-generator case of the summed scan's merge by
+        # ``_boundary_class``: a boundary on g*'s indices alone pairs source
+        # label 2m with target label 2 P(m) + 1, its class is the cycle type
+        # of P, and the histogram of (cycle type of pi, cycles pi's edges
+        # close) over all pi is the same for every P of one cycle type
         sources, targets = range(0, 2 * c, 2), range(1, 2 * c, 2)
         perms = list(itertools.permutations(range(c)))
         by_type = {}
@@ -425,7 +426,7 @@ def relabelled_boundaries(draw):
 
 
 class TestBoundaryClasses:
-    """The relabelling classes that ``_summed_scan`` runs one pi loop for."""
+    """The relabelling classes that ``_summed_scan`` merges its states by."""
 
     @pytest.mark.parametrize(
         "texts, classes",
@@ -454,6 +455,26 @@ class TestBoundaryClasses:
             ):
                 other, _ = surfaces._sigma_paths(occ, parts)
                 assert {other[s] for s in sources} == targets, text
+
+    def test_a_generator_laid_leaves_a_boundary_on_the_rest(self, golden_tuples):
+        # so each level of the summed scan starts again from a boundary
+        # permutation, of the indices before the generator just laid
+        for text, t in golden_tuples.items():
+            occ = occurrences(t)
+            order = surfaces._label_order(occ)
+            sizes = [occ.counts[occ.active[gi]] for gi in order]
+            base, c = sum(sizes[:-1]), sizes[-1]
+            sources = range(2 * base, 2 * (base + c), 2)
+            targets = range(2 * base + 1, 2 * (base + c), 2)
+            for _, links in surfaces._boundary_classes(occ).values():
+                partners = [0] * (2 * len(links))
+                for m, n in enumerate(links):
+                    partners[2 * m] = 2 * n + 1
+                    partners[2 * n + 1] = 2 * m
+                for pi in itertools.permutations(range(c)):
+                    other = partners.copy()
+                    _lay(other, sources, targets, pi)
+                    assert sorted(other[:2 * base:2]) == list(range(1, 2 * base, 2)), text
 
     @settings(max_examples=200, deadline=None)
     @given(relabelled_boundaries())

@@ -38,6 +38,36 @@ class TestParse:
         # the empty word to any power is empty, at any length of exponent
         assert parse("()^" + "9" * 5000, None).is_empty
 
+    def test_commutator_and_word_past_the_letter_limit_are_rejected(self, monkeypatch):
+        monkeypatch.setattr(words, "MAX_POWER_LETTERS", 12)
+        assert len(parse("[x,[x,y]]", 2)) == 10
+        assert len(parse("[x,y][x,y][x,y]", 2)) == 12
+        nested = "y"
+        for _ in range(30):  # 3 * 2^31 - 2 letters if built
+            nested = f"[x,{nested}]"
+        for text, what, position in (
+            ("[x,[x,[x,y]]]", "the commutator", 0), ("[x,[x,[x,[x,y]]]]", "the commutator", 3),
+            (nested, "the commutator", 81), ("[x,y][x,y][x,y][x,y]", "the term", 15),
+            ("[x,y]^3 x", "the term", 8),
+        ):
+            with pytest.raises(WordSyntaxError) as exc:
+                parse(text, None)
+            assert str(exc.value) == (
+                f"{what} makes a word of more than 12 letters (at position {position})"
+            )
+
+    def test_nesting_past_the_depth_limit_is_rejected(self):
+        depth = words.MAX_NESTING
+        assert len(parse("(" * depth + "x" + ")" * depth, 1)) == 1
+        for text, position in (
+            ("(" * 400 + "x" + ")" * 400, depth), ("[x," * 400 + "y" + "]" * 400, 3 * depth),
+        ):
+            with pytest.raises(WordSyntaxError) as exc:
+                parse(text, None)
+            assert str(exc.value) == (
+                f"brackets nested more than {depth} deep (at position {position})"
+            )
+
     def test_commutator_macro(self):
         w = parse("[x,y]", 2)
         assert w.letters == lets((1, 1), (2, 1), (1, -1), (2, -1))
