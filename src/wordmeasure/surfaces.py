@@ -7,6 +7,9 @@ meets exactly two edge ends, so the sigma and tau edges form a 2-regular
 graph on the junctions, and the blocks are its cycles: ``_lay`` counts
 them as it closes them.  Only those two counts matter: Euler
 characteristic = blocks + cycles - 2L, so no complex is ever built.
+The class counts of all pairs come from ``_summed_scan``, which lays
+one generator's edges at a time and merges the partial states that a
+relabelling of occurrences carries into each other (``_form``).
 """
 
 from __future__ import annotations
@@ -376,41 +379,32 @@ def diagonal_max_euler(
     return _diagonal_search(occ, above)[0]
 
 
-def _label_order(occ: OccurrenceTable) -> list[int]:
-    """Active generator positions in label order: the summed g* first.
+def _form(other, mate, kind, ports) -> tuple:
+    """The name of a partial state of the summed scan up to relabelling.
 
-    g* is the active generator with the most occurrences, the first of
-    them on a tie.
+    The free slots pair up twice: by ``other``, the two ends of an open
+    path, and by ``mate``, the two free slots of one occurrence, or of
+    one index once its sigma is laid.  So they form disjoint cycles.
+    Both pairings join a letter end (a tau source or sigma target) to a
+    letter start, and ``ports`` lists the free letter ends, so a walk
+    from a port that takes ``mate`` first reads each cycle one way
+    round.  A relabelling permutes the occurrences, or the indices, of
+    one generator and keeps every kind, and at one level of the scan a
+    port's kind fixes its mate's.  So a state is named by the sorted
+    words of ``kind`` values its cycles pass at their ports, each at its
+    least rotation.
     """
-    sizes = [occ.counts[i] for i in occ.active]
-    star = max(range(len(sizes)), key=sizes.__getitem__)
-    return [star, *(gi for gi in range(len(sizes)) if gi != star)]
-
-
-def _boundary_class(links, sizes) -> tuple:
-    """The class of a boundary permutation under index relabelling.
-
-    Indices are numbered generator by generator, ``sizes`` giving each
-    generator's count, and ``links[m]`` is an index of any generator.
-    Relabelling each generator's indices alike on both sides of
-    ``links`` conjugates it by a permutation that keeps every generator,
-    so the class is the sorted list of its cycles, each read as the
-    generators it passes, at its least rotation.
-    """
-    gen: list[int] = []
-    for j, c in enumerate(sizes):
-        gen += [j] * c
-    seen = [False] * len(gen)
+    seen = set()
     words = []
-    for start in range(len(gen)):
-        if seen[start]:
+    for start in ports:
+        if start in seen:
             continue
         word = []
-        m = start
-        while not seen[m]:
-            seen[m] = True
-            word.append(gen[m])
-            m = links[m]
+        s = start
+        while s not in seen:
+            seen.add(s)
+            word.append(kind[s])
+            s = other[mate[s]]
         n = len(word)
         least = min(word)
         twice = word * 2
@@ -419,108 +413,80 @@ def _boundary_class(links, sizes) -> tuple:
     return tuple(words)
 
 
-def _boundary_classes(occ: OccurrenceTable) -> dict[tuple, list]:
-    """The boundaries the sigmas leave, merged by relabelling class.
-
-    Once a sigma's edges are laid, the free slots are the tau ends, and
-    every open path runs from a tau source to a tau target.  Number the
-    indices generator by generator in ``_label_order``: index k of
-    generator i stands for its tau source and for the tau target that
-    positive end k reaches through sigma.  The key of a sigma is its
-    boundary permutation, ``links[m]`` the index whose target the path
-    from m's source reaches, with the cycles sigma closed.  Relabelling
-    one generator's indices alike on sources and targets only conjugates
-    the pi that tau = sigma pi adds, which keeps every count the scan
-    reads, so keys of one ``_boundary_class`` are merged.  Returns, per
-    class, [number of sigmas, links of one of them].
-    """
-    order = _label_order(occ)
-    gens = [occ.active[gi] for gi in order]
-    sizes = [occ.counts[i] for i in gens]
-    bases = [sum(sizes[:j]) for j in range(len(sizes))]
-    sources = [s for i in gens for s in occ.tau_src[i]]
-    where = [0] * len(occ.bare)
-    keys: dict[tuple, int] = {}
-    for sigma_parts in itertools.product(
-        *(itertools.permutations(range(occ.counts[i])) for i in occ.active)
-    ):
-        other, closed = _sigma_paths(occ, sigma_parts)
-        for i, gi, base in zip(gens, order, bases):
-            tgt = occ.tau_tgt[i]
-            for m, v in enumerate(sigma_parts[gi], base):
-                where[tgt[v]] = m
-        key = (closed, tuple([where[other[s]] for s in sources]))
-        keys[key] = keys.get(key, 0) + 1
-    classes: dict[tuple, list] = {}
-    for (closed, links), count in keys.items():
-        name = (closed, _boundary_class(links, sizes))
-        entry = classes.get(name)
-        if entry is None:
-            classes[name] = [count, links]
-        else:
-            entry[0] += count
-    return classes
-
-
 def _summed_scan(occ: OccurrenceTable) -> dict[tuple[tuple[Partition, ...], int], int]:
-    """Class counts, one generator at a time, states merged by boundary class.
+    """Class counts, one generator's edges at a time, states merged by ``_form``.
 
     Each tau is written as sigma pi, so the cycle type of sigma^-1 tau is
-    that of pi, read per generator.  Index m gets source label 2m and
-    target label 2m + 1, paired as a boundary permutation says, and pi's
-    edge from index k runs from k's source label to pi(k)'s target label,
-    as in the per-pair test oracle ``_scan``.  The generators go in
-    reverse ``_label_order``, so g* comes last and the indices left are
-    a prefix.  Every open path runs from a source label to a target
-    label, so once one generator's edges are laid, the boundary left on
-    the remaining indices is again a permutation, ``other[2m] // 2``.  A
-    state is one ``_boundary_class`` of it: relabelling the remaining
-    indices conjugates their pi, which keeps every count read later.  It
-    keeps one boundary of the class and the histogram {(cycle types so
-    far, cycles closed): pairs}; the first states come from
-    ``_boundary_classes``, and after g* one state holds the class counts.
+    that of pi, read per generator.  The stages lay sigma of each active
+    generator and then pi of each, in one order: by count, the most
+    occurrences last.  Once sigma(k) = j is laid, index k has the tau
+    source of k and the tau target of j, which the state's path-end
+    array names as the tau target of k; so pi's edge from k runs to the
+    target named pi(k), as in the per-pair test oracle ``_scan``.
+    Relabelling a pending generator's occurrences
+    (sigma -> beta sigma alpha^-1) or a laid one's indices (pi -> gamma
+    pi gamma^-1) keeps every count read later, so a state is one
+    ``_form``, with one path-end array and the histogram {(cycle types
+    so far, cycles closed): pairs}.  A move's boundary is keyed by the
+    port each port reaches through its mate and then its path, which
+    names each index by its tau source, and ``_form`` is memoised on it.
     """
     active = occ.active
-    if not active:
-        return {((), 0): 1}
-    order = _label_order(occ)
-    sizes = [occ.counts[active[gi]] for gi in order]
-    # class -> [one boundary of it, {(cycle types, cycles closed): pairs}]
-    states: dict[tuple, list] = {}
-    for (closed, name), (count, links) in _boundary_classes(occ).items():
-        hist = states.setdefault(name, [links, {}])[1]
-        hist[(), closed] = hist.get(((), closed), 0) + count
-    for j in reversed(range(len(sizes))):
-        base, c = sum(sizes[:j]), sizes[j]
-        src, tgt = range(2 * base, 2 * (base + c), 2), range(2 * base + 1, 2 * (base + c), 2)
-        pis = [(p, _cycle_type(p)) for p in itertools.permutations(range(c))]
+    order = sorted(active, key=occ.counts.__getitem__)
+    kind, size = occ.kind, len(occ.kind)
+    mate = [0] * size
+    for i in active:
+        for a, b in (*zip(occ.sigma_src[i], occ.tau_src[i]),
+                     *zip(occ.sigma_tgt[i], occ.tau_tgt[i])):
+            mate[a], mate[b] = b, a
+    ports = [s for s in range(size) if kind[s] % 4 in (1, 2)]
+    states = {(): [list(occ.bare), {((), 0): 1}]}
+    for pi_stage, i in [(False, i) for i in order] + [(True, i) for i in order]:
+        src, tgt = (occ.tau_src[i], occ.tau_tgt[i]) if pi_stage else (
+            occ.sigma_src[i], occ.sigma_tgt[i])
+        ports = [s for s in ports if s not in src and s not in tgt]
+        if not pi_stage:
+            for a, b in zip(occ.tau_src[i], occ.tau_tgt[i]):
+                mate[a], mate[b] = b, a
+            at = [ports.index(a) for a in occ.tau_src[i]]
+        ends = [mate[s] for s in ports]
+        moves = []
+        for p in itertools.permutations(range(occ.counts[i])):
+            if pi_stage:
+                moves.append((p, ends, (_cycle_type(p),)))
+            else:
+                # the path from tau source k now ends at sigma(k)'s tau target
+                reached = ends.copy()
+                for k, v in zip(at, p):
+                    reached[k] = occ.tau_tgt[i][v]
+                moves.append((p, reached, ()))
         names: dict[tuple, tuple] = {}
         merged: dict[tuple, list] = {}
-        for links, hist in states.values():
-            partners = [0] * (2 * len(links))
-            for m, n in enumerate(links):
-                partners[2 * m] = 2 * n + 1
-                partners[2 * n + 1] = 2 * m
-            # (boundary left, cycle type of pi, cycles closed) -> pis
+        for base, hist in states.values():
+            # (boundary left, cycle type grown, cycles closed) -> moves
             outcomes: dict[tuple, int] = {}
-            for p, mu in pis:
-                other = partners.copy()
+            for p, reached, grow in moves:
+                other = base.copy()
                 extra = _lay(other, src, tgt, p)
-                key = (tuple([label // 2 for label in other[:2 * base:2]]), mu, extra)
+                key = (tuple(map(other.__getitem__, reached)), grow, extra)
                 outcomes[key] = outcomes.get(key, 0) + 1
-            for (rest, mu, extra), m in outcomes.items():
-                name = names.get(rest)
-                if name is None:
-                    name = names[rest] = _boundary_class(rest, sizes[:j])
-                target = merged.setdefault(name, [rest, {}])[1]
+            for (rest, grow, extra), m in outcomes.items():
+                form = names.get(rest)
+                if form is None:
+                    other = [0] * size
+                    for b, a in zip(ends, rest):
+                        other[a], other[b] = b, a
+                    form = names[rest] = _form(other, mate, kind, ports)
+                    merged.setdefault(form, [other, {}])
+                target = merged[form][1]
                 for (types, closed), count in hist.items():
-                    key = ((mu, *types), closed + extra)
+                    key = (types + grow, closed + extra)
                     target[key] = target.get(key, 0) + count * m
         states = merged
     ((_, hist),) = states.values()
-    # types in label order, g* first, back to active order
-    star = order[0]
-    return {(t[1:star + 1] + t[:1] + t[star + 1:], blocks): count
+    # types in stage order, back to active order
+    back = [order.index(i) for i in active]
+    return {(tuple([t[j] for j in back]), blocks): count
             for (t, blocks), count in hist.items()}
 
 
@@ -533,8 +499,8 @@ def class_counts(
     exact trace: the Weingarten weight of a pair depends only on the
     cycle types, and the power of n only on the block count.  The cap
     applies to the full pair count, although ``_summed_scan`` visits
-    far fewer pairs: it lays each sigma once and each generator's pi
-    once per relabelling class of the boundary left.
+    far fewer pairs: it lays one generator's sigma or pi at a time, once
+    per relabelling class of the state the generators before it left.
     """
     total = occ.pair_count()
     if total > cap:

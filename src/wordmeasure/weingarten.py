@@ -3,7 +3,8 @@
 Values come from the character formula, all cycle types of one L at
 once as integer numerators over one denominator L! * D_L.  ``wg_sum``
 adds weighted Weingarten products over those same denominators and
-reduces once, so only this module knows them.  The tests check the
+reduces once, so only this module knows them; ``wg`` and ``wg_table``
+reduce a value only when it is asked for.  The tests check the
 values against an independent route, direct inversion of
 sigma -> n^#cycles(sigma) in the group ring (``wg_inversion`` in
 ``tests/oracles.py``).
@@ -33,8 +34,14 @@ def wg(mu: Partition) -> RationalFunction:
     Character formula: sum over partitions lambda of L of
     dim(lambda) * chi_lambda(mu) / (L! * prod of (n + j - i)).
     """
-    mu = check_partition(sorted(mu, reverse=True))
-    return _wg_values(sum(mu))[0][mu]
+    return _wg_reduced(check_partition(sorted(mu, reverse=True)))
+
+
+@lru_cache(maxsize=None)
+def _wg_reduced(mu: Partition) -> RationalFunction:
+    """wg(mu) in canonical form: the one place the table values are reduced."""
+    den, nums = _wg_values(sum(mu))
+    return RationalFunction(Polynomial(nums[mu]), Polynomial(den))
 
 
 class WeingartenTable:
@@ -68,7 +75,7 @@ def wg_table(L: int) -> WeingartenTable:
     """Table computed through the character formula."""
     if L < 0:
         raise ValueError(f"L must be nonnegative, got {L}")
-    return WeingartenTable(L, dict(_wg_values(L)[0]))
+    return WeingartenTable(L, {mu: _wg_reduced(mu) for mu in _wg_values(L)[1]})
 
 
 def wg_sum(sizes: list[int], weights: dict[tuple[Partition, ...], list[int]]) -> RationalFunction:
@@ -81,23 +88,23 @@ def wg_sum(sizes: list[int], weights: dict[tuple[Partition, ...], list[int]]) ->
     tables = [_wg_values(L) for L in sizes]
     num: list[int] = []
     for key, weight in weights.items():
-        for mu, (_, _, nums) in zip(key, tables, strict=True):
+        for mu, (_, nums) in zip(key, tables, strict=True):
             weight = _pmul(weight, nums[mu])
         num = [a + b for a, b in itertools.zip_longest(num, weight, fillvalue=0)]
-    den = reduce(_pmul, [table[1] for table in tables], [1])
+    den = reduce(_pmul, [table[0] for table in tables], [1])
     return RationalFunction(Polynomial(num), Polynomial(den))
 
 
 @lru_cache(maxsize=16)
-def _wg_values(L: int) -> tuple[dict[Partition, RationalFunction], tuple[int, ...], dict]:
-    """wg(mu) for every partition mu of L, in ``partitions`` order.
+def _wg_values(L: int) -> tuple[tuple[int, ...], dict[Partition, tuple[int, ...]]]:
+    """wg(mu) for every partition mu of L, in ``partitions`` order, unreduced.
 
     Every lambda term is written over D, the lcm of the content
     polynomials: the product over contents c of (n + c) to the largest
     number of cells of content c in any diagram.  So each value is one
-    integer numerator over L! * D.  Returns the reduced values, then L! * D
-    and the numerators as integer coefficient tuples, all shared by every
-    caller; ``wg_table`` hands out copies.
+    integer numerator over L! * D.  Returns L! * D and the numerators, as
+    integer coefficient tuples shared by every caller.  ``wg_sum`` reads
+    only these; ``_wg_reduced`` puts a value in canonical form.
     """
     lams = list(partitions(L))
     contents = [
@@ -117,7 +124,7 @@ def _wg_values(L: int) -> tuple[dict[Partition, RationalFunction], tuple[int, ..
     cofactors = [linear_product(top - cells) for cells in contents]
     den = tuple(math.factorial(L) * a for a in linear_product(top))
     dims = [dimension(lam) for lam in lams]
-    values, nums = {}, {}
+    nums = {}
     for mu in lams:
         num = [0] * len(den)
         for lam, dim, cofactor in zip(lams, dims, cofactors):
@@ -126,8 +133,7 @@ def _wg_values(L: int) -> tuple[dict[Partition, RationalFunction], tuple[int, ..
                 for k, a in enumerate(cofactor):
                     num[k] += coef * a
         nums[mu] = tuple(num)
-        values[mu] = RationalFunction(Polynomial(num), Polynomial(den))
-    return values, den, nums
+    return den, nums
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Independent test oracles for the exact routes of ``wordmeasure``.
 
 Each function here is a reference implementation that the tests check a
-production route against: a per-pair scan, a per-matching diagonal
-scan, a group-ring Weingarten inversion, the pair order by distances,
-the leading term via solution classes, and small helpers.  The package
-itself calls none of them.
+production route against: a per-pair scan, a sigma-by-sigma class-count
+scan, a per-matching diagonal scan, a group-ring Weingarten inversion,
+the pair order by distances, the leading term via solution classes, and
+small helpers.  The package itself calls none of them.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ from wordmeasure.surfaces import (
     MatchingPair,
     OccurrenceTable,
     PairCapExceeded,
+    _cycle_type,
+    _lay,
+    _sigma_paths,
 )
 from wordmeasure.weingarten import WeingartenTable, _pmul
 from wordmeasure.words import WordTuple
@@ -242,6 +245,160 @@ def _diagonal_scan(t: WordTuple) -> Iterator[tuple[tuple, int]]:
         for (pp, ng, po, np_), sp in zip(edges, parts):
             merges += _merges(parent, pp, ng, sp) + _merges(parent, po, np_, sp)
         yield parts, num_letters - merges + shift
+
+
+# oracle for surfaces._summed_scan, sigma by sigma: every sigma is laid
+# whole, the boundaries it leaves are merged by ``_boundary_class``, and
+# pi goes one generator at a time from there.  It lays all prod(c_i!)
+# sigma, so it reaches sizes the per-pair ``_scan`` cannot.
+
+
+def _label_order(occ: OccurrenceTable) -> list[int]:
+    """Active generator positions in label order: the summed g* first.
+
+    g* is the active generator with the most occurrences, the first of
+    them on a tie.
+    """
+    sizes = [occ.counts[i] for i in occ.active]
+    star = max(range(len(sizes)), key=sizes.__getitem__)
+    return [star, *(gi for gi in range(len(sizes)) if gi != star)]
+
+
+def _boundary_class(links, sizes) -> tuple:
+    """The class of a boundary permutation under index relabelling.
+
+    Indices are numbered generator by generator, ``sizes`` giving each
+    generator's count, and ``links[m]`` is an index of any generator.
+    Relabelling each generator's indices alike on both sides of
+    ``links`` conjugates it by a permutation that keeps every generator,
+    so the class is the sorted list of its cycles, each read as the
+    generators it passes, at its least rotation.
+    """
+    gen: list[int] = []
+    for j, c in enumerate(sizes):
+        gen += [j] * c
+    seen = [False] * len(gen)
+    words = []
+    for start in range(len(gen)):
+        if seen[start]:
+            continue
+        word = []
+        m = start
+        while not seen[m]:
+            seen[m] = True
+            word.append(gen[m])
+            m = links[m]
+        n = len(word)
+        least = min(word)
+        twice = word * 2
+        words.append(tuple(min([twice[k:k + n] for k in range(n) if word[k] == least])))
+    words.sort()
+    return tuple(words)
+
+
+def _boundary_classes(occ: OccurrenceTable) -> dict[tuple, list]:
+    """The boundaries the sigmas leave, merged by relabelling class.
+
+    Once a sigma's edges are laid, the free slots are the tau ends, and
+    every open path runs from a tau source to a tau target.  Number the
+    indices generator by generator in ``_label_order``: index k of
+    generator i stands for its tau source and for the tau target that
+    positive end k reaches through sigma.  The key of a sigma is its
+    boundary permutation, ``links[m]`` the index whose target the path
+    from m's source reaches, with the cycles sigma closed.  Relabelling
+    one generator's indices alike on sources and targets only conjugates
+    the pi that tau = sigma pi adds, which keeps every count the scan
+    reads, so keys of one ``_boundary_class`` are merged.  Returns, per
+    class, [number of sigmas, links of one of them].
+    """
+    order = _label_order(occ)
+    gens = [occ.active[gi] for gi in order]
+    sizes = [occ.counts[i] for i in gens]
+    bases = [sum(sizes[:j]) for j in range(len(sizes))]
+    sources = [s for i in gens for s in occ.tau_src[i]]
+    where = [0] * len(occ.bare)
+    keys: dict[tuple, int] = {}
+    for sigma_parts in itertools.product(
+        *(itertools.permutations(range(occ.counts[i])) for i in occ.active)
+    ):
+        other, closed = _sigma_paths(occ, sigma_parts)
+        for i, gi, base in zip(gens, order, bases):
+            tgt = occ.tau_tgt[i]
+            for m, v in enumerate(sigma_parts[gi], base):
+                where[tgt[v]] = m
+        key = (closed, tuple([where[other[s]] for s in sources]))
+        keys[key] = keys.get(key, 0) + 1
+    classes: dict[tuple, list] = {}
+    for (closed, links), count in keys.items():
+        name = (closed, _boundary_class(links, sizes))
+        entry = classes.get(name)
+        if entry is None:
+            classes[name] = [count, links]
+        else:
+            entry[0] += count
+    return classes
+
+
+def summed_scan_by_sigma(occ: OccurrenceTable) -> dict[tuple[tuple[Partition, ...], int], int]:
+    """Class counts, one generator at a time, states merged by boundary class.
+
+    Each tau is written as sigma pi, so the cycle type of sigma^-1 tau is
+    that of pi, read per generator.  Index m gets source label 2m and
+    target label 2m + 1, paired as a boundary permutation says, and pi's
+    edge from index k runs from k's source label to pi(k)'s target label,
+    as in the per-pair test oracle ``_scan``.  The generators go in
+    reverse ``_label_order``, so g* comes last and the indices left are
+    a prefix.  Every open path runs from a source label to a target
+    label, so once one generator's edges are laid, the boundary left on
+    the remaining indices is again a permutation, ``other[2m] // 2``.  A
+    state is one ``_boundary_class`` of it: relabelling the remaining
+    indices conjugates their pi, which keeps every count read later.  It
+    keeps one boundary of the class and the histogram {(cycle types so
+    far, cycles closed): pairs}; the first states come from
+    ``_boundary_classes``, and after g* one state holds the class counts.
+    """
+    active = occ.active
+    if not active:
+        return {((), 0): 1}
+    order = _label_order(occ)
+    sizes = [occ.counts[active[gi]] for gi in order]
+    # class -> [one boundary of it, {(cycle types, cycles closed): pairs}]
+    states: dict[tuple, list] = {}
+    for (closed, name), (count, links) in _boundary_classes(occ).items():
+        hist = states.setdefault(name, [links, {}])[1]
+        hist[(), closed] = hist.get(((), closed), 0) + count
+    for j in reversed(range(len(sizes))):
+        base, c = sum(sizes[:j]), sizes[j]
+        src, tgt = range(2 * base, 2 * (base + c), 2), range(2 * base + 1, 2 * (base + c), 2)
+        pis = [(p, _cycle_type(p)) for p in itertools.permutations(range(c))]
+        names: dict[tuple, tuple] = {}
+        merged: dict[tuple, list] = {}
+        for links, hist in states.values():
+            partners = [0] * (2 * len(links))
+            for m, n in enumerate(links):
+                partners[2 * m] = 2 * n + 1
+                partners[2 * n + 1] = 2 * m
+            # (boundary left, cycle type of pi, cycles closed) -> pis
+            outcomes: dict[tuple, int] = {}
+            for p, mu in pis:
+                other = partners.copy()
+                extra = _lay(other, src, tgt, p)
+                key = (tuple([label // 2 for label in other[:2 * base:2]]), mu, extra)
+                outcomes[key] = outcomes.get(key, 0) + 1
+            for (rest, mu, extra), m in outcomes.items():
+                name = names.get(rest)
+                if name is None:
+                    name = names[rest] = _boundary_class(rest, sizes[:j])
+                target = merged.setdefault(name, [rest, {}])[1]
+                for (types, closed), count in hist.items():
+                    key = ((mu, *types), closed + extra)
+                    target[key] = target.get(key, 0) + count * m
+        states = merged
+    ((_, hist),) = states.values()
+    # types in label order, g* first, back to active order
+    star = order[0]
+    return {(t[1:star + 1] + t[:1] + t[star + 1:], blocks): count
+            for (t, blocks), count in hist.items()}
 
 
 # ---------------------------------------------------------------------------

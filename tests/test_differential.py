@@ -1,6 +1,7 @@
 """Randomized cross-checks between independent computation routes."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from oracles import (
     cycle_types,
     enumerate_matchings,
     pair_leq,
+    summed_scan_by_sigma,
 )
 
 
@@ -151,6 +153,56 @@ def test_class_counts_match_scan_on_random_tuples(t, reduce):
     if occ.pair_count() > 20_000:
         return
     assert class_counts(occ) == _folded_scan(t)
+
+
+@st.composite
+def tuples_of_counts(draw):
+    """Balanced tuples of 1-4 generators with 0-4 occurrences of each sign.
+
+    The letters are shuffled and cut into one to three words, some of
+    them empty, and are rarely reduced.  At most 1,728 sigmas, so the
+    sigma-by-sigma oracle stays fast.
+    """
+    rank = draw(st.integers(1, 4))
+    counts = draw(
+        st.lists(st.integers(0, 4), min_size=rank, max_size=rank).filter(
+            lambda cs: math.prod(map(math.factorial, cs)) <= 1728
+        )
+    )
+    letters = [
+        Letter(gen, sign)
+        for gen, c in enumerate(counts, 1) for sign in (1, -1) for _ in range(c)
+    ]
+    letters = draw(st.permutations(letters))
+    cuts = sorted(draw(st.lists(st.integers(0, len(letters)), max_size=2)))
+    bounds = [0, *cuts, len(letters)]
+    return word_tuple([Word(letters[a:b]) for a, b in zip(bounds, bounds[1:])], rank)
+
+
+@settings(max_examples=120, deadline=None)
+@given(tuples_of_counts())
+def test_summed_scan_matches_the_sigma_by_sigma_scan(t):
+    occ = occurrences(t)
+    assert surfaces._summed_scan(occ) == summed_scan_by_sigma(occ)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["[x,y]^5"],
+        ["[x^2,y^2]^2"],
+        ["[x,y]^2", "[x,y]^2"],
+        # perfbench.workloads.commutator_word(random.Random("scan:<counts>"),
+        # counts, 2) for counts (5, 5, 1), (2, 2, 5) and (1, 2, 3, 4)
+        ["[Y,YX][ZXXyy,yXX]"],
+        ["[Z,x][z,YzzYZX]"],
+        ["[YYTTT,Xzz][z,t]"],
+    ],
+    ids=["[x,y]^5", "[x^2,y^2]^2", "([x,y]^2,[x,y]^2)", "(5,5,1)", "(2,2,5)", "(1,2,3,4)"],
+)
+def test_summed_scan_matches_the_sigma_by_sigma_scan_on_big_words(texts):
+    occ = occurrences(parse_tuple(texts, 4))
+    assert surfaces._summed_scan(occ) == summed_scan_by_sigma(occ)
 
 
 def test_pair_cap_raised_before_any_work(monkeypatch):

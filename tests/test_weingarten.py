@@ -231,10 +231,13 @@ class TestWgSum:
 
     @pytest.mark.parametrize("L", range(10))
     def test_shared_numerators_reduce_to_wg(self, L):
-        values, den, nums = _wg_values(L)
-        assert list(nums) == list(values) == list(partitions(L))
+        # the table keeps numerators over one denominator, unreduced;
+        # wg and wg_table reduce them
+        den, nums = _wg_values(L)
+        assert list(nums) == list(wg_table(L).entries) == list(partitions(L))
         for mu, num in nums.items():
             assert RationalFunction(Polynomial(num), Polynomial(den)) == wg(mu)
+            assert wg_table(L)[mu] == wg(mu)
             assert wg_sum([L], {(mu,): [1]}) == wg(mu)
 
     def test_key_length_must_match_sizes(self):
