@@ -16,9 +16,7 @@ __version__ = "0.1.0"
 
 # the exported names of each module; numpy comes in with montecarlo only
 _NAMES = {
-    "perm": (
-        "Permutation", "character", "dimension", "leq", "mobius", "norm", "partitions",
-    ),
+    "perm": ("character", "dimension", "partitions"),
     "ratfn": ("LaurentSeries", "PoleError", "Polynomial", "RationalFunction"),
     "solutions": (
         "OrderComplex", "PairPoset", "Presentation", "SolutionClass", "complex_euler",
@@ -27,19 +25,19 @@ _NAMES = {
     ),
     "surfaces": (
         "DEFAULT_PAIR_CAP", "Matching", "MatchingPair", "OccurrenceTable",
-        "PairCapExceeded", "UnbalancedError", "commutator_length",
-        "diagonal_max_euler", "euler_char", "occurrences", "pair_statistics",
+        "PairCapExceeded", "UnbalancedError", "diagonal_max_euler",
+        "euler_char", "occurrences", "pair_statistics",
     ),
     "trace": (
         "LeadingTerm", "TraceResult", "parity_report", "scl_upper_bound",
         "trace_exact", "trace_leading",
     ),
-    "weingarten": ("WeingartenTable", "moment", "wg", "wg_table"),
+    "weingarten": ("WeingartenTable", "wg", "wg_table"),
     "words": (
         "Letter", "RankError", "Word", "WordSyntaxError", "WordTuple", "commutator",
         "parse", "parse_tuple", "word_tuple",
     ),
-    "montecarlo": ("McEstimate", "estimate", "sample_haar"),
+    "montecarlo": ("McEstimate", "estimate"),
 }
 _EXPORTS = {name: module for module, names in _NAMES.items() for name in names}
 

@@ -498,7 +498,8 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         from .surfaces import PairCapExceeded  # loaded by whatever raised it
 
-        if not isinstance(exc, PairCapExceeded):
+        # the diagonal search recurses once per positive occurrence
+        if not isinstance(exc, (PairCapExceeded, RecursionError)):
             raise
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return 2

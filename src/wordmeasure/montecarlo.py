@@ -40,11 +40,6 @@ class McEstimate(NamedTuple):
     seed: int
 
 
-def sample_haar(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar-distributed n x n unitary matrix."""
-    return _Batch(n, 1, 1).haar(rng)[:, :, 0]
-
-
 class _Batch:
     """The arrays of one batch shape, reused from batch to batch.
 

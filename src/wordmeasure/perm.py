@@ -1,9 +1,14 @@
-"""Permutations under the transposition metric, and S_L character data.
+"""S_L character data: partitions, characters, dimensions, and the
+Mobius function of the absolute order by cycle type.
 
-The partial order here is the absolute (cayley-graph) order: s precedes
-t when some minimal factorization of t into transpositions passes
-through s.  Its Mobius function is a signed product of Catalan numbers,
-which is exactly the leading coefficient of the Weingarten function.
+The absolute (cayley-graph) order puts s below t when some minimal
+factorization of t into transpositions passes through s.  Its Mobius
+function at (id, p) is a signed product of Catalan numbers over the
+cycle type of p, which is exactly the leading coefficient of the
+Weingarten function.  The package needs it only by cycle type.  The
+permutations, the order and the Mobius function on them are test
+oracles (``Permutation``, ``leq`` and ``mobius`` in ``tests/oracles.py``),
+which check the formula against the order's defining relation.
 """
 
 from __future__ import annotations
@@ -13,99 +18,6 @@ from functools import lru_cache
 from typing import Iterator
 
 Partition = tuple[int, ...]
-
-
-class Permutation:
-    """A permutation of {0, ..., L-1} stored as its image vector."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images) -> None:
-        images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
-
-    def __reduce__(self):
-        return (Permutation, (self.images,))
-
-    @classmethod
-    def identity(cls, L: int) -> "Permutation":
-        return cls(range(L))
-
-    @classmethod
-    def from_cycles(cls, L: int, cycles) -> "Permutation":
-        images = list(range(L))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a] = b
-        return cls(images)
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, k: int) -> int:
-        return self.images[k]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        """Composition: (p * q)(k) = p(q(k))."""
-        return Permutation(self.images[j] for j in other.images)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for k, v in enumerate(self.images):
-            inv[v] = k
-        return Permutation(inv)
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.size
-        out = []
-        for start in range(self.size):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = True
-            k = self.images[start]
-            while k != start:
-                cycle.append(k)
-                seen[k] = True
-                k = self.images[k]
-            out.append(tuple(cycle))
-        return out
-
-    def num_cycles(self) -> int:
-        return len(self.cycles())
-
-    def cycle_type(self) -> Partition:
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
-    def __repr__(self) -> str:
-        cyc = " ".join(
-            "(" + " ".join(str(v + 1) for v in c) + ")" for c in self.cycles()
-        )
-        return f"Permutation[{cyc}]"
-
-
-def norm(p: Permutation) -> int:
-    """Minimal number of transpositions producing p: L - #cycles."""
-    return p.size - p.num_cycles()
-
-
-def leq(s: Permutation, t: Permutation) -> bool:
-    """Absolute order: some geodesic of transpositions to t passes via s."""
-    if s.size != t.size:
-        raise ValueError("permutations act on different sets")
-    return norm(t) == norm(s) + norm(s.inverse() * t)
 
 
 def catalan(m: int) -> int:
@@ -119,11 +31,6 @@ def mobius_of_cycle_type(mu: Partition) -> int:
     if (sum(mu) - len(mu)) % 2:
         moeb = -moeb
     return moeb
-
-
-def mobius(p: Permutation) -> int:
-    """Mobius function of the absolute order at (id, p)."""
-    return mobius_of_cycle_type(p.cycle_type())
 
 
 def partitions(L: int, max_part: int | None = None) -> Iterator[Partition]:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .diagonal import _diagonal_search
 from .perm import Partition
-from .words import Word, WordTuple, word_tuple
+from .words import WordTuple
 
 DEFAULT_PAIR_CAP = 10**8
 
@@ -506,18 +506,3 @@ def class_counts(
     if total > cap:
         raise PairCapExceeded(total, cap)
     return _summed_scan(occ)
-
-
-def commutator_length(
-    w: Word, *, rank: int | None = None, cap: int = DEFAULT_PAIR_CAP
-) -> int | float:
-    """Least g such that w is a product of g commutators; inf if none.
-
-    Computed as (1 - ch(w)) / 2, with ch from the diagonal pairs alone.
-    """
-    t = word_tuple([w], rank)
-    if not t.is_balanced():
-        return math.inf
-    if w.cyclic_reduce().is_empty:
-        return 0
-    return (1 - diagonal_max_euler(t, cap=cap)) // 2

@@ -7,7 +7,8 @@ reduces once, so only this module knows them; ``wg`` and ``wg_table``
 reduce a value only when it is asked for.  The tests check the
 values against an independent route, direct inversion of
 sigma -> n^#cycles(sigma) in the group ring (``wg_inversion`` in
-``tests/oracles.py``).
+``tests/oracles.py``), and ``wg_sum`` on general Haar moment integrals
+(the oracle ``moment`` there).
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ import math
 from collections import Counter
 from functools import lru_cache, reduce
 
-from .perm import (
-    Partition,
-    Permutation,
-    character,
-    check_partition,
-    dimension,
-    partitions,
-)
+from .perm import Partition, character, check_partition, dimension, partitions
 from .ratfn import Polynomial, RationalFunction
 
 
@@ -150,36 +144,3 @@ def _pmul(a: list[int], b: list[int]) -> list[int]:
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def moment(
-    row_pairs: list[tuple[object, object]],
-    col_pairs: list[tuple[object, object]],
-) -> RationalFunction:
-    """Haar integral of a balanced monomial in matrix entries.
-
-    ``row_pairs[k]`` holds the row labels (i_k, i'_k) of the k-th
-    unconjugated and k-th conjugated entry, ``col_pairs[k]`` the column
-    labels.  Labels are compared only for equality.  Sums
-    Wg(sigma^-1 tau) over permutations sigma aligning the row labels
-    and tau aligning the column labels; an empty sum is 0.
-    """
-    if len(row_pairs) != len(col_pairs):
-        raise ValueError("row and column pairings must have equal length")
-    m = len(row_pairs)
-    i_lab = [p[0] for p in row_pairs]
-    i_conj = [p[1] for p in row_pairs]
-    j_lab = [p[0] for p in col_pairs]
-    j_conj = [p[1] for p in col_pairs]
-
-    def matching_perms(plain, conj) -> list[Permutation]:
-        out = []
-        for images in itertools.permutations(range(m)):
-            if all(plain[k] == conj[images[k]] for k in range(m)):
-                out.append(Permutation(images))
-        return out
-
-    sigmas = matching_perms(i_lab, i_conj)
-    taus = matching_perms(j_lab, j_conj)
-    types = Counter((s.inverse() * t).cycle_type() for s in sigmas for t in taus)
-    return wg_sum([m], {(mu,): [count] for mu, count in types.items()})

@@ -3,24 +3,21 @@
 Each function here is a reference implementation that the tests check a
 production route against: a per-pair scan, a sigma-by-sigma class-count
 scan, a per-matching diagonal scan, a group-ring Weingarten inversion,
-the pair order by distances, the leading term via solution classes, and
-small helpers.  The package itself calls none of them.
+the general Haar moment integral, the pair order by distances, the
+leading term via solution classes, permutations under the absolute
+order with its Mobius function, and small helpers.  The package itself
+calls none of them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from wordmeasure.perm import (
-    Partition,
-    Permutation,
-    check_partition,
-    mobius_of_cycle_type,
-    partitions,
-)
+from wordmeasure.perm import Partition, check_partition, mobius_of_cycle_type, partitions
 from wordmeasure.ratfn import Polynomial, RationalFunction
 from wordmeasure.solutions import matching_dist, solution_classes
 from wordmeasure.surfaces import (
@@ -32,9 +29,10 @@ from wordmeasure.surfaces import (
     _cycle_type,
     _lay,
     _sigma_paths,
+    diagonal_max_euler,
 )
-from wordmeasure.weingarten import WeingartenTable, _pmul
-from wordmeasure.words import WordTuple
+from wordmeasure.weingarten import WeingartenTable, _pmul, wg_sum
+from wordmeasure.words import Word, WordTuple, word_tuple
 
 # ---------------------------------------------------------------------------
 # oracles for wordmeasure.surfaces
@@ -245,6 +243,13 @@ def _diagonal_scan(t: WordTuple) -> Iterator[tuple[tuple, int]]:
         for (pp, ng, po, np_), sp in zip(edges, parts):
             merges += _merges(parent, pp, ng, sp) + _merges(parent, po, np_, sp)
         yield parts, num_letters - merges + shift
+
+
+# oracle helper: cl(w) = (1 - ch) / 2 with ch the diagonal maximum, the
+# formula ``chi`` prints; inf when w is not a product of commutators
+def commutator_length(w: Word, *, rank: int | None = None) -> int | float:
+    ch = diagonal_max_euler(word_tuple([w], rank))
+    return math.inf if ch == -math.inf else (1 - ch) // 2
 
 
 # oracle for surfaces._summed_scan, sigma by sigma: every sigma is laid
@@ -521,6 +526,40 @@ def wg_leading(mu: Partition) -> tuple[int, int]:
     return -(L + nrm), mobius_of_cycle_type(mu)
 
 
+# oracle for wg_sum: the Haar integral of a monomial in matrix entries
+def moment(
+    row_pairs: list[tuple[object, object]],
+    col_pairs: list[tuple[object, object]],
+) -> RationalFunction:
+    """Haar integral of a balanced monomial in matrix entries.
+
+    ``row_pairs[k]`` holds the row labels (i_k, i'_k) of the k-th
+    unconjugated and k-th conjugated entry, ``col_pairs[k]`` the column
+    labels.  Labels are compared only for equality.  Sums
+    Wg(sigma^-1 tau) over permutations sigma aligning the row labels
+    and tau aligning the column labels; an empty sum is 0.
+    """
+    if len(row_pairs) != len(col_pairs):
+        raise ValueError("row and column pairings must have equal length")
+    m = len(row_pairs)
+    i_lab = [p[0] for p in row_pairs]
+    i_conj = [p[1] for p in row_pairs]
+    j_lab = [p[0] for p in col_pairs]
+    j_conj = [p[1] for p in col_pairs]
+
+    def matching_perms(plain, conj) -> list[Permutation]:
+        out = []
+        for images in itertools.permutations(range(m)):
+            if all(plain[k] == conj[images[k]] for k in range(m)):
+                out.append(Permutation(images))
+        return out
+
+    sigmas = matching_perms(i_lab, i_conj)
+    taus = matching_perms(j_lab, j_conj)
+    types = Counter((s.inverse() * t).cycle_type() for s in sigmas for t in taus)
+    return wg_sum([m], {(mu,): [count] for mu, count in types.items()})
+
+
 # ---------------------------------------------------------------------------
 # oracles for wordmeasure.solutions
 
@@ -556,6 +595,107 @@ def leading_via_classes(
 
 # ---------------------------------------------------------------------------
 # oracles for wordmeasure.perm
+
+
+# oracle: permutations as image vectors, composed and split into cycles
+class Permutation:
+    """A permutation of {0, ..., L-1} stored as its image vector."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images) -> None:
+        images = tuple(images)
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a bijection of 0..{len(images) - 1}: {images}")
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Permutation is immutable")
+
+    @classmethod
+    def identity(cls, L: int) -> "Permutation":
+        return cls(range(L))
+
+    @classmethod
+    def from_cycles(cls, L: int, cycles) -> "Permutation":
+        images = list(range(L))
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                images[a] = b
+        return cls(images)
+
+    @property
+    def size(self) -> int:
+        return len(self.images)
+
+    def __call__(self, k: int) -> int:
+        return self.images[k]
+
+    def __mul__(self, other: "Permutation") -> "Permutation":
+        """Composition: (p * q)(k) = p(q(k))."""
+        return Permutation(self.images[j] for j in other.images)
+
+    def inverse(self) -> "Permutation":
+        inv = [0] * self.size
+        for k, v in enumerate(self.images):
+            inv[v] = k
+        return Permutation(inv)
+
+    def cycles(self) -> list[tuple[int, ...]]:
+        seen = [False] * self.size
+        out = []
+        for start in range(self.size):
+            if seen[start]:
+                continue
+            cycle = [start]
+            seen[start] = True
+            k = self.images[start]
+            while k != start:
+                cycle.append(k)
+                seen[k] = True
+                k = self.images[k]
+            out.append(tuple(cycle))
+        return out
+
+    def num_cycles(self) -> int:
+        return len(self.cycles())
+
+    def cycle_type(self) -> Partition:
+        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Permutation) and self.images == other.images
+
+    def __hash__(self) -> int:
+        return hash(self.images)
+
+    def __repr__(self) -> str:
+        cyc = " ".join(
+            "(" + " ".join(str(v + 1) for v in c) + ")" for c in self.cycles()
+        )
+        return f"Permutation[{cyc}]"
+
+
+# oracle helper: the length in transpositions
+def norm(p: Permutation) -> int:
+    """Minimal number of transpositions producing p: L - #cycles."""
+    return p.size - p.num_cycles()
+
+
+# oracle: the absolute order on S_L, whose Mobius function the package
+# knows only by cycle type
+def leq(s: Permutation, t: Permutation) -> bool:
+    """Absolute order: some geodesic of transpositions to t passes via s."""
+    if s.size != t.size:
+        raise ValueError("permutations act on different sets")
+    return norm(t) == norm(s) + norm(s.inverse() * t)
+
+
+# oracle for mobius_of_cycle_type: the Mobius function of the absolute
+# order at (id, p), which the tests check against its defining relation
+def mobius(p: Permutation) -> int:
+    """Mobius function of the absolute order at (id, p)."""
+    return mobius_of_cycle_type(p.cycle_type())
 
 
 # oracle: every permutation of S_L, one at a time

@@ -14,29 +14,23 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from wordmeasure.montecarlo import estimate
-from wordmeasure.perm import (
-    character,
-    leq,
-    mobius,
-    partitions,
-)
+from wordmeasure.perm import character, partitions
 from wordmeasure.ratfn import RationalFunction
 from wordmeasure.solutions import solution_classes
-from wordmeasure.surfaces import (
-    commutator_length,
-    euler_char,
-    occurrences,
-    pair_statistics,
-)
+from wordmeasure.surfaces import euler_char, occurrences, pair_statistics
 from wordmeasure.trace import parity_report, scl_upper_bound, trace_exact, trace_leading
-from wordmeasure.weingarten import moment, wg
+from wordmeasure.weingarten import wg
 from wordmeasure.words import Letter, Word, parse, parse_tuple, word_tuple
 
 from oracles import (
     all_permutations,
+    commutator_length,
     conjugacy_class_size,
     enumerate_matchings,
     leading_via_classes,
+    leq,
+    mobius,
+    moment,
     pair_leq,
     rf,
     wg_inversion,

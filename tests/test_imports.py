@@ -1,10 +1,14 @@
 """Syntax-tree scans: every imported name is used, in the package and the
-tests, and every private module-level name of the package is read in it."""
+tests; every private module-level name of the package is read in it; and
+every exported name is read in it, outside ``__init__``, or has a reason
+not to be."""
 
 import ast
 import pathlib
 
 import pytest
+
+from wordmeasure import _NAMES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "wordmeasure").glob("*.py"))
@@ -41,6 +45,15 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["b (line 2)"]
 
 
+def read_names(source: str) -> set[str]:
+    """Every name the module reads, as a name or an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Private module-level functions, classes and constants of ``sources``
     (module name -> text) that no module reads, as a name or an attribute."""
@@ -60,11 +73,7 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
                 (module, name, node.lineno)
                 for name in names if name.startswith("_") and not name.startswith("__")
             ]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+        read |= read_names(source)
     return [f"{module}: {name} (line {line})" for module, name, line in defined
             if name not in read]
 
@@ -82,3 +91,39 @@ def test_the_scan_finds_an_unread_private_name():
         "b": "import a\na._Kind\n",
     }
     assert unread_private_names(sources) == ["a: _dead (line 2)", "a: _LIMIT (line 3)"]
+
+
+# exported names that the package itself never reads, and why they stay
+UNREAD_EXPORTS = {
+    "trace_leading": "perfbench/replay.py wraps it",
+    "parity_report": "perfbench/replay.py wraps it",
+    "wg": "perfbench/replay.py wraps it",
+    "parse_tuple": "the README example and tests/conftest.py build tuples with it",
+}
+
+
+def unread_exports(exports: dict[str, tuple[str, ...]], sources: dict[str, str]) -> list[str]:
+    """Names of ``exports`` (module -> names) that no module of ``sources``
+    reads, as a name or an attribute."""
+    read = set().union(*map(read_names, sources.values()))
+    return [f"{module}: {name}" for module, names in exports.items() for name in names
+            if name not in read]
+
+
+def test_every_export_is_read_in_the_package():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in PACKAGE if path.name != "__init__.py"}
+    exported = {name: module for module, names in _NAMES.items() for name in names}
+    assert set(UNREAD_EXPORTS) <= set(exported), "an allowed name is no longer exported"
+    assert sorted(unread_exports(_NAMES, sources)) == sorted(
+        f"{exported[name]}: {name}" for name in UNREAD_EXPORTS
+    )
+
+
+def test_the_scan_finds_an_unread_export():
+    sources = {
+        "a": "class Used: pass\ndef dead(): pass\ndef called(): pass\n",
+        "b": "from a import Used\nimport a\nx: Used = a.called()\n",
+    }
+    exports = {"a": ("Used", "dead", "called"), "b": ("x",)}
+    assert unread_exports(exports, sources) == ["a: dead", "b: x"]

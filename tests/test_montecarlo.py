@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from wordmeasure.montecarlo import _Batch, estimate, sample_haar
+from wordmeasure.montecarlo import _Batch, estimate
 from wordmeasure.trace import trace_exact
 from wordmeasure.words import Letter, Word, parse_tuple, word_tuple
 
@@ -19,17 +19,17 @@ class TestSampling:
     def test_unitarity(self):
         rng = np.random.default_rng(1)
         for n in (1, 3, 6):
-            u = sample_haar(n, rng)
+            u = _Batch(n, 1, 1).haar(rng)[:, :, 0]
             assert np.max(np.abs(u.conj().T @ u - np.eye(n))) < 1e-10
 
     def test_dimension_one_is_phase(self):
         rng = np.random.default_rng(2)
-        u = sample_haar(1, rng)
+        u = _Batch(1, 1, 1).haar(rng)[:, :, 0]
         assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
     def test_fixed_seed_reproducible(self):
-        a = sample_haar(4, np.random.default_rng(42))
-        b = sample_haar(4, np.random.default_rng(42))
+        a = _Batch(4, 1, 1).haar(np.random.default_rng(42))
+        b = _Batch(4, 1, 1).haar(np.random.default_rng(42))
         assert np.array_equal(a, b)
 
     def test_estimate_reproducible(self):

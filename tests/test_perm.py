@@ -4,19 +4,18 @@ from collections import deque
 
 import pytest
 
-from wordmeasure.perm import (
+from wordmeasure.perm import catalan, character, dimension, partitions
+from wordmeasure.ratfn import Polynomial
+
+from oracles import (
     Permutation,
-    catalan,
-    character,
-    dimension,
+    all_permutations,
+    conjugacy_class_size,
+    content_polynomial,
     leq,
     mobius,
     norm,
-    partitions,
 )
-from wordmeasure.ratfn import Polynomial
-
-from oracles import all_permutations, conjugacy_class_size, content_polynomial
 
 
 def perm(*images):

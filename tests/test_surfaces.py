@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from wordmeasure import surfaces
 from wordmeasure.diagonal import _join, _unjoin
-from wordmeasure.perm import Permutation
 from wordmeasure.solutions import is_incompressible
 from wordmeasure.surfaces import (
     PairCapExceeded,
@@ -16,7 +15,6 @@ from wordmeasure.surfaces import (
     _cycle_lengths,
     _lay,
     _level_set,
-    commutator_length,
     diagonal_max_euler,
     euler_char,
     occurrences,
@@ -25,8 +23,10 @@ from wordmeasure.surfaces import (
 from wordmeasure.words import parse, parse_tuple
 
 from oracles import (
+    Permutation,
     _boundary_classes,
     block_count,
+    commutator_length,
     cycle_types,
     enumerate_matchings,
     pair_leq,

@@ -13,7 +13,6 @@ from wordmeasure.perm import (
 from wordmeasure.ratfn import Polynomial, RationalFunction
 from wordmeasure.weingarten import (
     _wg_values,
-    moment,
     wg,
     wg_sum,
     wg_table,
@@ -22,6 +21,7 @@ from wordmeasure.weingarten import (
 from oracles import (
     all_permutations,
     content_polynomial,
+    moment,
     rf,
     wg_inversion,
     wg_leading,
