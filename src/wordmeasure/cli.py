@@ -498,7 +498,8 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         from .surfaces import PairCapExceeded  # loaded by whatever raised it
 
-        # the diagonal search recurses once per positive occurrence
+        # every route's call depth is bounded; should a call chain still
+        # pass Python's recursion limit, that is a limit, not a crash
         if not isinstance(exc, (PairCapExceeded, RecursionError)):
             raise
         print(f"limit exceeded: {exc}", file=sys.stderr)

@@ -9,17 +9,20 @@ them as it closes them.  Only those two counts matter: Euler
 characteristic = blocks + cycles - 2L, so no complex is ever built.
 The class counts of all pairs come from ``_summed_scan``, which lays
 one generator's edges at a time and merges the partial states that a
-relabelling of occurrences carries into each other (``_form``).
+relabelling of occurrences carries into each other (``_form``).  The
+diagonal maximum and the diagonal pairs at it come from
+``_diagonal_search``, which lays one positive occurrence at a time and
+merges its states by the same ``_form``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from typing import NamedTuple
 
-from .diagonal import _diagonal_search
 from .perm import Partition
 from .words import WordTuple
 
@@ -153,9 +156,8 @@ def _lay(other: list[int], sources, targets, images) -> int:
     ``other[s]`` is the far free end of the open path at free slot s.  An
     edge between the two ends of one path closes a cycle; any other edge
     joins two paths into one, whose far ends now point at each other.
-    Returns the cycles closed.  Every sigma, tau and pi edge set of the
-    scans goes through here; the diagonal search takes its edges back,
-    so it lays them with ``diagonal._join`` instead.
+    Returns the cycles closed.  Every sigma, tau and pi edge of the
+    scans and of the diagonal search is laid here.
     """
     closed = 0
     for a, v in zip(sources, images):
@@ -341,8 +343,9 @@ def _maximal_components(
     transposition geodesic between the two.  Single transpositions that
     stay at ch therefore reach every maximal pair from the maximal
     diagonal ones: one search from each diagonal seed not yet reached
-    finds one whole component.  Each component is sorted, and so is
-    their list.
+    finds one whole component.  The seeds are every sigma at ch that
+    ``_diagonal_search`` keeps with ``every``.  Each component is
+    sorted, and so is their list.
     """
     ch, found = _diagonal_search(occ, every=True)
     seeds = [(m, m) for m in map(occ.expand, found)]
@@ -361,11 +364,12 @@ def diagonal_max_euler(
 ) -> int | float | None:
     """Max Euler characteristic over diagonal pairs (sigma, sigma) only.
 
-    Agrees with ``pair_statistics``.  The branch and bound of
-    ``_diagonal_search`` visits at most the |Match| diagonal pairs, and
-    usually far fewer; used where only the maximum is needed.  With
-    ``above``, only a maximum greater than ``above`` is sought, and None
-    is returned when there is none.  The cap applies to |Match|.
+    Agrees with ``pair_statistics``.  ``_diagonal_search`` lays one
+    positive occurrence at a time and merges its states by relabelling,
+    so it visits far fewer states than the |Match| diagonal pairs; used
+    where only the maximum is needed.  With ``above``, only a maximum
+    greater than ``above`` is sought, and None is returned when there
+    is none.  The cap applies to |Match|.
     """
     t = t.cyclically_reduced()
     if not t.is_balanced():
@@ -380,17 +384,18 @@ def diagonal_max_euler(
 
 
 def _form(other, mate, kind, ports) -> tuple:
-    """The name of a partial state of the summed scan up to relabelling.
+    """The name of a partial state of either loop up to relabelling.
 
-    The free slots pair up twice: by ``other``, the two ends of an open
-    path, and by ``mate``, the two free slots of one occurrence, or of
-    one index once its sigma is laid.  So they form disjoint cycles.
+    The loops are ``_summed_scan`` and ``_diagonal_pass``.  The free
+    slots pair up twice: by ``other``, the two ends of an open path, and
+    by ``mate``, the two free slots of one occurrence, or of one index
+    once the summed scan lays its sigma.  So they form disjoint cycles.
     Both pairings join a letter end (a tau source or sigma target) to a
     letter start, and ``ports`` lists the free letter ends, so a walk
     from a port that takes ``mate`` first reads each cycle one way
     round.  A relabelling permutes the occurrences, or the indices, of
-    one generator and keeps every kind, and at one level of the scan a
-    port's kind fixes its mate's.  So a state is named by the sorted
+    one generator and keeps every kind, and at one level of either loop
+    a port's kind fixes its mate's.  So a state is named by the sorted
     words of ``kind`` values its cycles pass at their ports, each at its
     least rotation.
     """
@@ -406,11 +411,29 @@ def _form(other, mate, kind, ports) -> tuple:
             word.append(kind[s])
             s = other[mate[s]]
         n = len(word)
-        least = min(word)
-        twice = word * 2
-        words.append(tuple(min([twice[k:k + n] for k in range(n) if word[k] == least])))
+        if n > 1:
+            least = min(word)
+            twice = word * 2
+            word = min([twice[k:k + n] for k in range(n) if word[k] == least])
+        words.append(tuple(word))
     words.sort()
     return tuple(words)
+
+
+def _mates_and_ports(occ: OccurrenceTable) -> tuple[list[int], list[int]]:
+    """``mate`` and ``ports`` of the bare state, for ``_form``.
+
+    ``mate`` pairs the sigma and tau sources of each positive occurrence
+    and the sigma and tau targets of each negative one; ``ports`` lists
+    the letter ends (tau sources and sigma targets), one on each open
+    path.
+    """
+    mate = [0] * len(occ.kind)
+    for i in occ.active:
+        for a, b in (*zip(occ.sigma_src[i], occ.tau_src[i]),
+                     *zip(occ.sigma_tgt[i], occ.tau_tgt[i])):
+            mate[a], mate[b] = b, a
+    return mate, [s for s, k in enumerate(occ.kind) if k % 4 in (1, 2)]
 
 
 def _summed_scan(occ: OccurrenceTable) -> dict[tuple[tuple[Partition, ...], int], int]:
@@ -434,12 +457,7 @@ def _summed_scan(occ: OccurrenceTable) -> dict[tuple[tuple[Partition, ...], int]
     active = occ.active
     order = sorted(active, key=occ.counts.__getitem__)
     kind, size = occ.kind, len(occ.kind)
-    mate = [0] * size
-    for i in active:
-        for a, b in (*zip(occ.sigma_src[i], occ.tau_src[i]),
-                     *zip(occ.sigma_tgt[i], occ.tau_tgt[i])):
-            mate[a], mate[b] = b, a
-    ports = [s for s in range(size) if kind[s] % 4 in (1, 2)]
+    mate, ports = _mates_and_ports(occ)
     states = {(): [list(occ.bare), {((), 0): 1}]}
     for pi_stage, i in [(False, i) for i in order] + [(True, i) for i in order]:
         src, tgt = (occ.tau_src[i], occ.tau_tgt[i]) if pi_stage else (
@@ -488,6 +506,104 @@ def _summed_scan(occ: OccurrenceTable) -> dict[tuple[tuple[Partition, ...], int]
     back = [order.index(i) for i in active]
     return {(tuple([t[j] for j in back]), blocks): count
             for (t, blocks), count in hist.items()}
+
+
+def _diagonal_search(
+    occ: OccurrenceTable, above: int | None = None, *, every: bool = False
+) -> tuple[int | None, list[tuple]]:
+    """The largest chi(sigma, sigma) above ``above``, or None if there is none.
+
+    chi(sigma, sigma) = closed + L + #empty - num_letters, since all L
+    cycles of sigma^-1 sigma are fixed points, so ``_diagonal_pass``
+    seeks the most cycles closed.  With ``every``, the parts of every
+    sigma at the maximum are returned too, in lexicographic order; the
+    parts range over active generators.  Without ``above``, a first pass
+    finds the maximum, so that the second keeps only prefixes that can
+    reach it.
+    """
+    base = occ.L + occ.num_empty - occ.num_letters
+    floor = 0 if above is None else above + 1 - base
+    if every and above is None:
+        floor = _diagonal_pass(occ, floor, False)[0]
+    best = _diagonal_pass(occ, floor, every)
+    return (None, []) if best is None else (best[0] + base, best[1])
+
+
+def _diagonal_pass(
+    occ: OccurrenceTable, floor: int, every: bool
+) -> tuple[int, list[tuple]] | None:
+    """The most cycles a diagonal pair closes if at least ``floor``, else None.
+
+    Each step takes one positive occurrence, in ``_summed_scan``'s
+    generator order, and lays its sigma and tau edges to each free
+    negative occurrence; both occurrences leave the state, which
+    ``_form`` names up to relabelling with ``_mates_and_ports``' mates,
+    memoised on the path ends at the ports.  States of one form have
+    the same completions, so a form keeps its best count, with one
+    representative, or with ``every`` each prefix at that count, whose
+    sigmas are returned too.  A state has P open paths, one per port,
+    and P edges still to lay; an open path closes alone only if
+    closable (its free ends differ in bit 0 of kind alone) and
+    otherwise joins another first, so with A closable paths at most
+    (P + A) // 2 more cycles close.  A state is dropped once closed +
+    (P + A) // 2 falls short of ``floor``; A is counted only when
+    closed + P // 2 does.
+    """
+    kind = occ.kind
+    # an open path is closable when the kind at its far end closes its port's
+    closer = [k ^ 1 for k in kind]
+    mate, ports = _mates_and_ports(occ)
+    # form -> [closed, [(path ends, ports, images so far)]]
+    states = {(): [0, [(list(occ.bare), ports, ())]]}
+    order = sorted(occ.active, key=occ.counts.__getitem__)
+    for i in order:
+        ends = list(zip(occ.sigma_tgt[i], occ.tau_tgt[i]))
+        for k in range(occ.counts[i]):
+            starts = (occ.sigma_src[i][k], occ.tau_src[i][k])
+            names: dict[tuple, tuple] = {}
+            merged: dict[tuple, list] = {}
+            for closed, entries in states.values():
+                for other, ports, images in entries:
+                    taken = images[len(images) - k:]  # generator i's so far
+                    rest = ports.copy()
+                    rest.remove(starts[1])
+                    for v, end in enumerate(ends):
+                        if v in taken:
+                            continue
+                        child = other.copy()
+                        count = closed + _lay(child, starts, end, (0, 1))
+                        left = rest.copy()
+                        left.remove(end[0])
+                        far = tuple(map(child.__getitem__, left))
+                        if count + len(left) // 2 < floor:
+                            closable = sum(map(operator.eq, map(kind.__getitem__, far),
+                                               map(closer.__getitem__, left)))
+                            if count + (len(left) + closable) // 2 < floor:
+                                continue
+                        form = names.get(far)
+                        if form is None:
+                            form = names[far] = _form(child, mate, kind, left)
+                        known = merged.get(form)
+                        if known is None or count > known[0]:
+                            merged[form] = [count, [(child, left, images + (v,))]]
+                        elif every and count == known[0]:
+                            known[1].append((child, left, images + (v,)))
+            states = merged
+    if not states:
+        return None
+    ((closed, entries),) = states.values()
+    if closed < floor:  # no steps were taken to drop it
+        return None
+    found = []
+    if every:
+        # images in stage order, back to parts in active order
+        cuts = list(itertools.accumulate(occ.counts[i] for i in order))
+        back = [order.index(i) for i in occ.active]
+        for _, _, images in entries:
+            parts = [images[a:b] for a, b in zip([0, *cuts], cuts)]
+            found.append(tuple(parts[j] for j in back))
+        found.sort()
+    return closed, found
 
 
 def class_counts(

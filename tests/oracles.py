@@ -223,7 +223,7 @@ def cycle_types(
     return tuple(out)
 
 
-# oracle for diagonal._diagonal_search: every matching, one at a time
+# oracle for surfaces._diagonal_search: every matching, one at a time
 def _diagonal_scan(t: WordTuple) -> Iterator[tuple[tuple, int]]:
     """Yield (sigma_parts, chi(sigma, sigma)) for every matching sigma of t.
 

@@ -303,16 +303,25 @@ class TestErrorsAndConfig:
         assert (code, out) == (2, "")
         assert err.startswith(f"limit exceeded: {message}")
 
-    def test_deep_diagonal_search_is_a_limit_error(self):
-        # in a fresh process, where a RecursionError would print a traceback:
-        # the search recurses once per positive occurrence, 1,000 here
-        argv = ["scl", "-w", "[x,y]^500", "--budget", "1", "--pair-cap", "1" + "0" * 2900]
+    @pytest.mark.parametrize(
+        "argv, last",
+        [
+            (["scl", "--budget", "1"], ") <= 999/2  (budget 1)"),
+            (["classes"], "leading term via classes: exponent -999, coefficient 1"),
+        ],
+        ids=["scl", "classes"],
+    )
+    def test_a_thousand_positive_occurrences(self, argv, last):
+        # in a fresh process, at Python's own recursion limit: the diagonal
+        # search takes one positive occurrence per step, 1,000 here, and
+        # no call stack grows with the steps
+        word = "".join(f"[x{2 * k + 1},x{2 * k + 2}]" for k in range(500))
+        argv = [argv[0], "-w", word, *argv[1:]]
         proc = run_fresh(
             f"import sys, wordmeasure.cli; sys.exit(wordmeasure.cli.main({argv!r}))"
         )
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("limit exceeded: maximum recursion depth exceeded")
-        assert proc.stderr.count("\n") == 1
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[-1].endswith(last)
 
     def test_help_exits_zero(self, capsys):
         code, _, _ = run(capsys, "--help")

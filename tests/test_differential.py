@@ -9,12 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordmeasure import surfaces
-from wordmeasure.diagonal import _diagonal_search
 from wordmeasure.ratfn import Polynomial, RationalFunction
 from wordmeasure.solutions import solution_classes
 from wordmeasure.surfaces import (
     PairCapExceeded,
     PairScan,
+    _diagonal_search,
     class_counts,
     diagonal_max_euler,
     euler_char,

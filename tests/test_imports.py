@@ -45,37 +45,60 @@ def test_the_scan_finds_an_unused_import():
     assert unused_imports(source) == ["b (line 2)"]
 
 
-def read_names(source: str) -> set[str]:
-    """Every name the module reads, as a name or an attribute."""
+def read_names(node: ast.AST) -> set[str]:
+    """Every name read under ``node``, as a name or an attribute."""
     return {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
     }
+
+
+def bound_names(node: ast.stmt) -> list[str]:
+    """The names a module-level function, class or assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def unread(sources: dict[str, str], wanted: set[tuple[str, str]]) -> set[tuple[str, str]]:
+    """The (module, name) pairs of ``wanted`` that no module of ``sources``
+    reads, as a name or an attribute.  A function or class body runs only
+    if its name is read, so the reads in the definition of a wanted name
+    count only once that name is read somewhere that counts: a name read
+    only by unread names, or by itself, is unread too."""
+    pending, read = [], set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and (
+                (module, node.name) in wanted
+            ):
+                pending.append(node)
+            else:
+                read |= read_names(node)
+    while live := [node for node in pending if node.name in read]:
+        pending = [node for node in pending if node.name not in read]
+        for node in live:
+            read |= read_names(node)
+    return {(module, name) for module, name in wanted if name not in read}
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
     """Private module-level functions, classes and constants of ``sources``
-    (module name -> text) that no module reads, as a name or an attribute."""
-    defined = []
-    read = set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            defined += [
-                (module, name, node.lineno)
-                for name in names if name.startswith("_") and not name.startswith("__")
-            ]
-        read |= read_names(source)
+    (module name -> text) that no module reads (see ``unread``)."""
+    defined = [
+        (module, name, node.lineno)
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+        for name in bound_names(node)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    dead = unread(sources, {(module, name) for module, name, _ in defined})
     return [f"{module}: {name} (line {line})" for module, name, line in defined
-            if name not in read]
+            if (module, name) in dead]
 
 
 def test_no_unread_private_name_in_the_package():
@@ -93,6 +116,18 @@ def test_the_scan_finds_an_unread_private_name():
     assert unread_private_names(sources) == ["a: _dead (line 2)", "a: _LIMIT (line 3)"]
 
 
+def test_the_scan_finds_a_chain_of_unread_private_names():
+    # _a is read only by _b, which nothing reads, and _c only by itself
+    sources = {
+        "a": "def _a(): pass\ndef _b(): return _a()\ndef _c(): return _c()\n"
+             "def _d(): pass\n_E = _d\n_E()\n",
+        "b": "import a\na._d\n",
+    }
+    assert unread_private_names(sources) == [
+        "a: _a (line 1)", "a: _b (line 2)", "a: _c (line 3)"
+    ]
+
+
 # exported names that the package itself never reads, and why they stay
 UNREAD_EXPORTS = {
     "trace_leading": "perfbench/replay.py wraps it",
@@ -104,10 +139,10 @@ UNREAD_EXPORTS = {
 
 def unread_exports(exports: dict[str, tuple[str, ...]], sources: dict[str, str]) -> list[str]:
     """Names of ``exports`` (module -> names) that no module of ``sources``
-    reads, as a name or an attribute."""
-    read = set().union(*map(read_names, sources.values()))
+    reads (see ``unread``)."""
+    dead = unread(sources, {(module, name) for module, names in exports.items() for name in names})
     return [f"{module}: {name}" for module, names in exports.items() for name in names
-            if name not in read]
+            if (module, name) in dead]
 
 
 def test_every_export_is_read_in_the_package():
@@ -127,3 +162,12 @@ def test_the_scan_finds_an_unread_export():
     }
     exports = {"a": ("Used", "dead", "called"), "b": ("x",)}
     assert unread_exports(exports, sources) == ["a: dead", "b: x"]
+
+
+def test_the_scan_finds_an_export_read_only_by_an_unread_export():
+    sources = {
+        "a": "def base(): pass\ndef top(): return base()\ndef kept(): pass\n",
+        "b": "from a import kept\nkept()\n",
+    }
+    exports = {"a": ("base", "top", "kept")}
+    assert unread_exports(exports, sources) == ["a: base", "a: top"]

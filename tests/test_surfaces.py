@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordmeasure import surfaces
-from wordmeasure.diagonal import _join, _unjoin
 from wordmeasure.solutions import is_incompressible
 from wordmeasure.surfaces import (
     PairCapExceeded,
@@ -338,60 +337,6 @@ class TestPrimitives:
                 assert other[s] in free and other[s] != s
                 assert label[other[s] // 2] == label[s // 2]
 
-    def test_diagonal_join_tracks_the_potential_and_unjoin_restores(
-        self, golden_tuples
-    ):
-        # lay the diagonal edges of a random matching one by one, check the
-        # potential and the path ends against a recount, then unjoin back
-        # to random marks and compare with the snapshots there
-        rng = random.Random(11)
-        tuples = [*golden_tuples.values(), XY2, ANNULUS, parse_tuple(["[x,y]", "YX", "xy"], 2)]
-        for t in tuples * 4:
-            occ = occurrences(t.cyclically_reduced())
-            other = list(occ.bare)
-            kind = occ.kind
-            potential = -sum((kind[s] ^ kind[s + 1]) == 1 for s in range(0, len(kind), 2))
-            laid, snapshots = [], []
-            slots = [(i, k) for i in occ.active for k in range(occ.counts[i])]
-            rng.shuffle(slots)
-            images = {i: rng.sample(range(c), c) for i, c in enumerate(occ.counts)}
-            for i, k in slots:
-                v = images[i][k]
-                for a, b in (
-                    (occ.sigma_src[i][k], occ.sigma_tgt[i][v]),
-                    (occ.tau_src[i][k], occ.tau_tgt[i][v]),
-                ):
-                    snapshots.append((len(laid), list(other)))
-                    potential += _join(other, kind, a, b)
-                    laid.append((a, b))
-                    assert potential == self._recount(occ, other, laid)
-            marks = rng.sample(range(len(snapshots)), min(3, len(snapshots)))
-            for index in sorted({0, *marks}, reverse=True):
-                mark, before = snapshots[index]
-                while len(laid) > mark:
-                    _unjoin(other, *laid.pop())
-                assert other == before
-
-    @staticmethod
-    def _recount(occ, other, laid):
-        """2 * merges - closable open paths, recounted; checks the path ends."""
-        n = occ.num_letters
-        label = _components(n, laid)
-        used = {s for edge in laid for s in edge}
-        free = {}
-        for s in range(2 * n):
-            if s not in used:
-                free.setdefault(label[s // 2], []).append(s)
-        for ends in free.values():
-            assert len(ends) == 2
-            a, b = ends
-            assert (other[a], other[b]) == (b, a)
-        merges = n - len(set(label))
-        closable = sum(
-            1 for a, b in free.values() if (occ.kind[a] ^ occ.kind[b]) == 1
-        )
-        return 2 * merges - closable
-
     def test_level_set_is_none_exactly_when_compressible(self, golden_tuples):
         cases = []
         for t in golden_tuples.values():
@@ -531,6 +476,25 @@ class TestBoundaryClasses:
         assert [len(forms[n]) for n in sorted(forms, reverse=True)] == levels
         assert len({name for _, name in _boundary_classes(occ)}) == levels[1]
 
+    @pytest.mark.parametrize(
+        "texts, rank, peaks",
+        [(["[x,y]^4"], 2, (18, 18)), (["([x,y][x,z][x,t])^3"], 4, (125, 37))],
+        ids=["[x,y]^4", "w^3"],
+    )
+    def test_diagonal_peak_states(self, texts, rank, peaks, monkeypatch):
+        # a work count for the diagonal search: the most states one step
+        # keeps, with no floor and with the floor at the maximum, where a
+        # state that cannot reach the maximum is dropped
+        occ = occurrences(parse_tuple(texts, rank))
+        ch = diagonal_max_euler(parse_tuple(texts, rank))
+        forms = _forms_by_level(monkeypatch)
+        found = []
+        for above in (None, ch - 1):
+            forms.clear()
+            assert surfaces._diagonal_search(occ, above) == (ch, [])
+            found.append(max(map(len, forms.values())))
+        assert tuple(found) == peaks
+
     def test_open_paths_run_from_tau_sources_to_tau_targets(self, golden_tuples):
         # so a sigma's boundary is a permutation of the indices
         for text, t in golden_tuples.items():
@@ -564,6 +528,9 @@ class TestBoundaryClasses:
         for text, t in golden_tuples.items():
             occ = occurrences(t)
             assert surfaces._summed_scan(occ) == summed_scan_by_sigma(occ), text
+            # the diagonal search's states too, whose mates stay those of
+            # the occurrences
+            surfaces._diagonal_search(occ, every=True)
         assert 0 in seen
 
     @settings(max_examples=200, deadline=None)
