@@ -4,7 +4,8 @@ Rational functions are kept in a canonical form: numerator and
 denominator coprime, denominator a primitive integer polynomial with
 positive leading coefficient.  That makes equality of two computation
 routes a field-by-field comparison, which the golden-value tests rely
-on.
+on.  They are values, with no arithmetic between them: the package sums
+on integer numerators (``weingarten.wg_sum``) and reduces once.
 """
 
 from __future__ import annotations
@@ -35,14 +36,6 @@ class Polynomial:
     def __reduce__(self):
         return (Polynomial, (self.coeffs,))
 
-    @classmethod
-    def constant(cls, c: Fraction | int) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
-    def monomial(cls, degree: int, c: Fraction | int = 1) -> "Polynomial":
-        return cls((0,) * degree + (c,))
-
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -70,40 +63,6 @@ class Polynomial:
     def __neg__(self) -> "Polynomial":
         return Polynomial(-c for c in self.coeffs)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Polynomial(out)
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def scale(self, c: Fraction | int) -> "Polynomial":
         c = Fraction(c)
         return Polynomial(a * c for a in self.coeffs)
@@ -124,9 +83,6 @@ class Polynomial:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= c * b
         return Polynomial(quot), Polynomial(rem[: other.degree])
-
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
@@ -187,8 +143,6 @@ def _coeff_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"({c})"
 
 
-#: the formal variable n
-N = Polynomial((0, 1))
 ZERO = Polynomial()
 ONE = Polynomial((1,))
 
@@ -276,7 +230,7 @@ class RationalFunction:
 
     @classmethod
     def from_fraction(cls, c: Fraction | int) -> "RationalFunction":
-        return cls(Polynomial.constant(c))
+        return cls(Polynomial((c,)))
 
     @classmethod
     def zero(cls) -> "RationalFunction":
@@ -300,28 +254,6 @@ class RationalFunction:
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def scale(self, c: Fraction | int) -> "RationalFunction":
-        return RationalFunction(self.num.scale(c), self.den)
 
     def evaluate(self, n0: Fraction | int) -> Fraction:
         d = self.den.evaluate(n0)

@@ -142,12 +142,12 @@ def order_complex(poset: PairPoset) -> OrderComplex:
     edges = tuple(
         (i, j) for j in range(m) for i in sorted(below[j])
     )
+    # below-sets are closed downward (``build_poset``): i < k < j is a chain
     triangles = tuple(
         (i, k, j)
         for j in range(m)
         for k in sorted(below[j])
         for i in sorted(below[k])
-        if i in below[j]
     )
     # chains_ending[v][k] = number of (k+1)-element chains with maximum v
     order = sorted(range(m), key=lambda v: poset.ranks[v])

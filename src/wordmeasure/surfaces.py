@@ -131,11 +131,13 @@ class OccurrenceTable:
         m = tuple(tuple(part) for part in m)
         if len(m) != self.rank:
             raise ValueError(f"matching must have {self.rank} parts")
-        for i, part in enumerate(m):
-            if sorted(part) != list(range(self.counts[i])):
-                raise ValueError(
-                    f"part {i + 1} is not a bijection of {self.counts[i]} occurrences"
-                )
+        for i, (part, c) in enumerate(zip(m, self.counts)):
+            occs = f"{c} occurrence" + ("" if c == 1 else "s")
+            if len(part) != c:
+                images = f"{len(part)} image" + ("" if len(part) == 1 else "s")
+                raise ValueError(f"part {i + 1} lists {images} for {occs}")
+            if sorted(part) != list(range(c)):
+                raise ValueError(f"part {i + 1} is not a bijection of {occs}")
         return m
 
     def expand(self, parts: tuple[tuple[int, ...], ...]) -> Matching:

@@ -5,8 +5,10 @@ production route against: a per-pair scan, a sigma-by-sigma class-count
 scan, a per-matching diagonal scan, a group-ring Weingarten inversion,
 the general Haar moment integral, the pair order by distances, the
 leading term via solution classes, permutations under the absolute
-order with its Mobius function, and small helpers.  The package itself
-calls none of them.
+order with its Mobius function, and small helpers, among them the sum
+``rf_add`` and product ``rf_mul`` of rational functions and the
+``monomial`` c * n^e that the tests write rational functions with.  The
+package itself calls none of them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from wordmeasure.surfaces import (
     _sigma_paths,
     diagonal_max_euler,
 )
-from wordmeasure.weingarten import WeingartenTable, _pmul, wg_sum
+from wordmeasure.weingarten import WeingartenTable, wg_sum
 from wordmeasure.words import Word, WordTuple, word_tuple
 
 # ---------------------------------------------------------------------------
@@ -411,10 +413,23 @@ def summed_scan_by_sigma(occ: OccurrenceTable) -> dict[tuple[tuple[Partition, ..
 #
 # Solving the convolution system uses fraction-free (Bareiss)
 # elimination over integer-coefficient polynomials, held as plain
-# coefficient lists: all divisions below are exact, so no gcds are
-# needed until the final back-substitution.
+# coefficient lists: all divisions below are exact, back-substitution
+# included, so the only gcds are those of the final reduction.
 
 WG_INVERSION_LIMIT = 8
+
+
+def _pmul(a: Sequence, b: Sequence) -> list:
+    """Product of coefficient sequences (index = degree), integer or Fraction."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def _psub(a: list[int], b: list[int]) -> list[int]:
@@ -503,14 +518,19 @@ def wg_inversion(L: int, *, limit: int = WG_INVERSION_LIMIT) -> WeingartenTable:
             aug[i][k] = []
         prev = aug[k][k]
 
-    values: list[RationalFunction | None] = [None] * p
+    # back-substitution over the last pivot det: by Cramer's rule each
+    # det * x_i is a polynomial, so every division is exact
+    det = prev
+    nums: list[list[int]] = [[] for _ in range(p)]
     for i in range(p - 1, -1, -1):
-        acc = RationalFunction(Polynomial(aug[i][p]))
+        acc = _pmul(det, aug[i][p])
         for j in range(i + 1, p):
-            acc = acc - RationalFunction(Polynomial(aug[i][j])) * values[j]
-        values[i] = acc / RationalFunction(Polynomial(aug[i][i]))
+            acc = _psub(acc, _pmul(aug[i][j], nums[j]))
+        nums[i] = _pdiv_exact(acc, aug[i][i])
     return WeingartenTable(
-        L, {mu: values[a] for a, mu in enumerate(classes)}
+        L,
+        {mu: RationalFunction(Polynomial(nums[a]), Polynomial(det))
+         for a, mu in enumerate(classes)},
     )
 
 
@@ -719,11 +739,11 @@ def conjugacy_class_size(mu: Partition) -> int:
 def content_polynomial(lam: Partition) -> Polynomial:
     """Product of (n + j - i) over the cells (i, j) of the diagram."""
     lam = check_partition(lam)
-    poly = Polynomial((1,))
+    poly = [1]
     for i, row in enumerate(lam):
         for j in range(row):
-            poly = poly * Polynomial((j - i, 1))
-    return poly
+            poly = _pmul(poly, [j - i, 1])
+    return Polynomial(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +754,29 @@ def content_polynomial(lam: Partition) -> Polynomial:
 def rf(num: Sequence[Fraction | int], den: Sequence[Fraction | int] = (1,)) -> RationalFunction:
     """Shorthand constructor from coefficient lists (index = degree)."""
     return RationalFunction(Polynomial(num), Polynomial(den))
+
+
+# oracle helpers: the sum and product of rational functions, over the
+# product of the denominators, reduced once by the constructor
+def rf_add(f: RationalFunction, g: RationalFunction) -> RationalFunction:
+    left = _pmul(f.num.coeffs, g.den.coeffs)
+    right = _pmul(g.num.coeffs, f.den.coeffs)
+    num = [a + b for a, b in itertools.zip_longest(left, right, fillvalue=0)]
+    return RationalFunction(Polynomial(num), Polynomial(_pmul(f.den.coeffs, g.den.coeffs)))
+
+
+def rf_mul(f: RationalFunction, g: RationalFunction) -> RationalFunction:
+    return RationalFunction(
+        Polynomial(_pmul(f.num.coeffs, g.num.coeffs)),
+        Polynomial(_pmul(f.den.coeffs, g.den.coeffs)),
+    )
+
+
+# oracle helper: c * n^e for any integer e
+def monomial(e: int, c: Fraction | int = 1) -> RationalFunction:
+    if e >= 0:
+        return RationalFunction(Polynomial((0,) * e + (c,)))
+    return RationalFunction(Polynomial((c,)), Polynomial((0,) * -e + (1,)))
 
 
 # oracle helper: the order of a rational function at n = infinity

@@ -487,6 +487,19 @@ def test_matching_segment_past_the_rank_names_the_flag(capsys, flag):
     assert (code, out) == (0, "pair chi = -1\nincompressible: yes\n")
 
 
+def test_matching_of_the_wrong_length_names_both_counts(capsys):
+    code, out, err = run(
+        capsys, "incompressible", "-w", "[x,y]", "--sigma", "1,1", "--tau", "",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: part 1 lists 2 images for 1 occurrence\n"
+    code, out, err = run(
+        capsys, "incompressible", "-w", "[x,y]^2", "--sigma", "2,2", "--tau", "",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: part 1 is not a bijection of 2 occurrences\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordmeasure import surfaces
-from wordmeasure.ratfn import Polynomial, RationalFunction
+from wordmeasure.ratfn import RationalFunction
 from wordmeasure.solutions import solution_classes
 from wordmeasure.surfaces import (
     PairCapExceeded,
@@ -31,7 +31,10 @@ from oracles import (
     block_count,
     cycle_types,
     enumerate_matchings,
+    monomial,
     pair_leq,
+    rf_add,
+    rf_mul,
     summed_scan_by_sigma,
 )
 
@@ -65,12 +68,10 @@ def test_grouped_trace_matches_naive_accumulation():
         matchings = list(enumerate_matchings(occ))
         total = RationalFunction.zero()
         for s, tt in itertools.product(matchings, repeat=2):
-            term = RationalFunction(
-                Polynomial.monomial(block_count(reduced, s, tt) + occ.num_empty)
-            )
+            term = monomial(block_count(reduced, s, tt) + occ.num_empty)
             for mu in cycle_types(occ, s, tt):
-                term = term * wg(mu)
-            total = total + term
+                term = rf_mul(term, wg(mu))
+            total = rf_add(total, term)
         assert trace_exact(t).function == total, str(t)
 
 

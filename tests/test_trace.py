@@ -35,7 +35,7 @@ from wordmeasure.words import (
 )
 from wordmeasure.weingarten import wg_table
 
-from oracles import _diagonal_scan, commutator_length, leading_via_classes, rf
+from oracles import _diagonal_scan, commutator_length, leading_via_classes, rf, rf_mul
 
 GOLDEN_FUNCTIONS = {
     "[x,y]": rf((1,), (0, 1)),
@@ -239,7 +239,7 @@ class TestExactValues:
         product = trace_exact(parse_tuple(["[x,y][z,t]"], 4)).function
         f1 = trace_exact(parse_tuple(["[x,y]"], 2)).function
         f2 = trace_exact(parse_tuple(["[z,t]"], 4)).function
-        assert product == f1 * f2 * rf((1,), (0, 1))
+        assert product == rf_mul(rf_mul(f1, f2), rf((1,), (0, 1)))
 
     def test_pair_cap(self):
         with pytest.raises(PairCapExceeded):

@@ -22,12 +22,13 @@ from oracles import (
     all_permutations,
     content_polynomial,
     moment,
+    monomial,
     rf,
+    rf_add,
+    rf_mul,
     wg_inversion,
     wg_leading,
 )
-
-N = Polynomial((0, 1))
 
 PRINTED_VALUES = {
     (1, 1): rf((1,), (-1, 0, 1)),                 # 1/(n^2-1)
@@ -53,9 +54,9 @@ def wg_per_lambda(mu):
         coef = dimension(lam) * character(lam, mu)
         if coef == 0:
             continue
-        total = total + RationalFunction(
-            Polynomial.constant(Fraction(coef, lfact)), content_polynomial(lam)
-        )
+        total = rf_add(total, RationalFunction(
+            Polynomial((Fraction(coef, lfact),)), content_polynomial(lam)
+        ))
     return total
 
 
@@ -118,9 +119,7 @@ class TestInversionOracle:
             total = RationalFunction.zero()
             for pi in perms:
                 power = (pi.inverse() * sigma).num_cycles()
-                total = total + wg(pi.cycle_type()) * RationalFunction(
-                    Polynomial.monomial(power)
-                )
+                total = rf_add(total, rf_mul(wg(pi.cycle_type()), monomial(power)))
             expected = 1 if sigma == perms[0].identity(L) else 0
             assert total == RationalFunction.from_fraction(expected)
 
@@ -135,9 +134,7 @@ class TestInversionOracle:
             total = RationalFunction.zero()
             for pi in perms:
                 power = (pi.inverse() * sigma).num_cycles()
-                total = total + wg(pi.cycle_type()) * RationalFunction(
-                    Polynomial.monomial(power)
-                )
+                total = rf_add(total, rf_mul(wg(pi.cycle_type()), monomial(power)))
             expected = 1 if mu == (1, 1, 1, 1, 1) else 0
             assert total == RationalFunction.from_fraction(expected)
 
@@ -225,8 +222,8 @@ class TestWgSum:
         for key, weight in weights.items():
             term = RationalFunction(Polynomial(weight))
             for mu in key:
-                term = term * wg(mu)
-            expected = expected + term
+                term = rf_mul(term, wg(mu))
+            expected = rf_add(expected, term)
         assert wg_sum(sizes, weights) == expected
 
     @pytest.mark.parametrize("L", range(10))
