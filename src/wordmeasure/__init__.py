@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # the exported names of each module; numpy comes in with montecarlo only
 _NAMES = {
     "perm": ("character", "dimension", "partitions"),
-    "ratfn": ("LaurentSeries", "PoleError", "Polynomial", "RationalFunction"),
+    "ratfn": ("LaurentSeries", "PoleError", "RationalFunction"),
     "solutions": (
         "OrderComplex", "PairPoset", "Presentation", "SolutionClass", "complex_euler",
         "is_incompressible", "mobius_sum", "order_complex", "pi1_presentation",

@@ -1,166 +1,113 @@
-"""Exact polynomials and rational functions in the dimension variable n.
+"""Exact rational functions in the dimension variable n.
 
+A polynomial is a sequence of coefficients, index = degree, the form in
+which ``weingarten`` builds its integer numerators and denominators.
 Rational functions are kept in a canonical form: numerator and
 denominator coprime, denominator a primitive integer polynomial with
-positive leading coefficient.  That makes equality of two computation
-routes a field-by-field comparison, which the golden-value tests rely
-on.  They are values, with no arithmetic between them: the package sums
-on integer numerators (``weingarten.wg_sum``) and reduces once.
+positive leading coefficient.  The constructor clears denominators once
+and reduces by an integer gcd (a primitive remainder sequence, then
+exact division), so no arithmetic over Q is needed.  The canonical form
+makes equality of two computation routes a field-by-field comparison,
+which the golden-value tests rely on.  Rational functions are values,
+with no arithmetic between them: the package sums on integer numerators
+(``weingarten.wg_sum``) and reduces once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 
 class PoleError(ZeroDivisionError):
     """Evaluation of a rational function at a zero of its denominator."""
 
 
-class Polynomial:
-    """Dense univariate polynomial with exact rational coefficients."""
+# ---------------------------------------------------------------------------
+# polynomials as coefficient lists (index = degree)
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def __reduce__(self):
-        return (Polynomial, (self.coeffs,))
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
-    def scale(self, c: Fraction | int) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(a * c for a in self.coeffs)
-
-    def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return Polynomial(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = other.leading
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Polynomial(quot), Polynomial(rem[: other.degree])
-
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "Polynomial") -> "Polynomial":
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ValueError("division is not exact")
-        return q
-
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def integer_primitive(self) -> tuple[Fraction, "Polynomial"]:
-        """Write self == scale * prim with scale > 0 and prim primitive integer.
-
-        The primitive part keeps the sign of self; the zero polynomial
-        returns (1, 0).
-        """
-        if self.is_zero:
-            return Fraction(1), self
-        denom_lcm = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * denom_lcm) for c in self.coeffs]
-        content = math.gcd(*ints)
-        scale = Fraction(content, denom_lcm)
-        return scale, Polynomial(v // content for v in ints)
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts: list[str] = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "n" if k == 1 else f"n^{k}"
-                body = var if mag == 1 else f"{_coeff_str(mag)}{var}"
-            if not parts:
-                parts.append(body if sign == "+" else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Polynomial({str(self)!r})"
+def _strip(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"({c})"
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by the gcd of its coefficients; the sign stays."""
+    g = math.gcd(*a)
+    return [x // g for x in a] if g > 1 else a
 
 
-ZERO = Polynomial()
-ONE = Polynomial((1,))
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of a by b: each step scales the running remainder
+    by lead(b) before cancelling its top term, so it stays integral."""
+    r = list(a)
+    lead, db = b[-1], len(b) - 1
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = r.pop()
+        r = [lead * x for x in r]
+        for j in range(db):
+            r[k + j] -= c * b[j]
+    return _strip(r)
 
 
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+def _div_exact(a: list[int], b: list[int]) -> list[int]:
+    """Quotient of a by b, where b divides a in Z[x]."""
+    r = list(a)
+    lead, db = b[-1], len(b) - 1
+    q = [0] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r.pop() // lead
+        for j in range(db):
+            r[k + j] -= c * b[j]
+    return q
+
+
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Primitive integer gcd with positive leading coefficient.
 
-    Computed by a content-stripped remainder sequence, which keeps the
-    coefficients small at the degrees that occur here.
+    Computed by a primitive remainder sequence: every pseudo-remainder is
+    divided by its content, which keeps the coefficients small (Knuth,
+    TAOCP vol. 2, 4.6.1).  The gcd of two zero polynomials is ().
     """
-    _, a = a.integer_primitive()
-    _, b = b.integer_primitive()
-    while not b.is_zero:
-        _, r = (a % b).integer_primitive()
-        a, b = b, r
-    if a.is_zero:
-        return a
-    return a if a.leading > 0 else -a
+    a, b = _primitive(_strip(list(a))), _primitive(_strip(list(b)))
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return tuple(a) if not a or a[-1] > 0 else tuple(-x for x in a)
+
+
+def _evaluate(coeffs: Sequence, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_str(coeffs: Sequence) -> str:
+    if not coeffs:
+        return "0"
+    parts: list[str] = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if not c:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            var = "n" if k == 1 else f"n^{k}"
+            body = var if mag == 1 else f"{_coeff_str(mag)}{var}"
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f" {sign} {body}")
+    return "".join(parts)
+
+
+def _coeff_str(c: Fraction | int) -> str:
+    return str(c.numerator) if c.denominator == 1 else f"({c})"
 
 
 class LaurentSeries(NamedTuple):
@@ -199,28 +146,35 @@ class LaurentSeries(NamedTuple):
 
 
 class RationalFunction:
-    """Quotient of polynomials in canonical coprime form."""
+    """Quotient of polynomials in canonical coprime form.
+
+    ``num`` is a tuple of ``Fraction`` coefficients and ``den`` a tuple
+    of integers, index = degree, neither with a trailing zero; zero is
+    () over (1,).
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial = ONE) -> None:
-        if den.is_zero:
+    def __init__(
+        self, num: Sequence[Fraction | int] = (), den: Sequence[Fraction | int] = (1,)
+    ) -> None:
+        num, den = _strip(list(num)), _strip(list(den))
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            object.__setattr__(self, "num", ZERO)
-            object.__setattr__(self, "den", ONE)
+        if not num:
+            object.__setattr__(self, "num", ())
+            object.__setattr__(self, "den", (1,))
             return
-        s_num, p_num = num.integer_primitive()
-        s_den, p_den = den.integer_primitive()
-        g = poly_gcd(p_num, p_den)
-        p_num = p_num.exact_div(g)
-        p_den = p_den.exact_div(g)
-        scale = s_num / s_den
-        if p_den.leading < 0:
-            p_den = -p_den
-            scale = -scale
-        object.__setattr__(self, "num", p_num.scale(scale))
-        object.__setattr__(self, "den", p_den)
+        # one integer scale clears every denominator of both sides
+        m = math.lcm(*(c.denominator for c in num), *(c.denominator for c in den))
+        num = [int(c * m) for c in num]
+        den = [int(c * m) for c in den]
+        g = poly_gcd(num, den)
+        if len(g) > 1:
+            num, den = _div_exact(num, g), _div_exact(den, g)
+        c = math.gcd(*den) if den[-1] > 0 else -math.gcd(*den)
+        object.__setattr__(self, "num", tuple(Fraction(x, c) for x in num))
+        object.__setattr__(self, "den", tuple(x // c for x in den))
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -230,15 +184,15 @@ class RationalFunction:
 
     @classmethod
     def from_fraction(cls, c: Fraction | int) -> "RationalFunction":
-        return cls(Polynomial((c,)))
+        return cls((c,))
 
     @classmethod
     def zero(cls) -> "RationalFunction":
-        return cls(ZERO)
+        return cls()
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -253,13 +207,17 @@ class RationalFunction:
         )
 
     def __hash__(self) -> int:
+        # a constant hashes as the number it equals
+        if self.den == (1,) and len(self.num) <= 1:
+            return hash(self.num[0] if self.num else 0)
         return hash((self.num, self.den))
 
     def evaluate(self, n0: Fraction | int) -> Fraction:
-        d = self.den.evaluate(n0)
+        n0 = Fraction(n0)
+        d = _evaluate(self.den, n0)
         if d == 0:
             raise PoleError(f"pole at n = {n0}")
-        return self.num.evaluate(n0) / d
+        return _evaluate(self.num, n0) / d
 
     def laurent_at_infinity(self, terms: int) -> LaurentSeries:
         """Expansion in descending powers of n, exact to ``terms`` terms."""
@@ -267,22 +225,20 @@ class RationalFunction:
             raise ValueError("need at least one term")
         if self.is_zero:
             return LaurentSeries(0, (), terms, zero=True)
-        a = list(reversed(self.num.coeffs))
-        b = list(reversed(self.den.coeffs))
+        a = self.num[::-1]
+        b = self.den[::-1]
         coeffs: list[Fraction] = []
         for k in range(terms):
             acc = a[k] if k < len(a) else Fraction(0)
             for j in range(1, min(k, len(b) - 1) + 1):
                 acc -= b[j] * coeffs[k - j]
             coeffs.append(acc / b[0])
-        return LaurentSeries(
-            self.num.degree - self.den.degree, tuple(coeffs), terms
-        )
+        return LaurentSeries(len(self.num) - len(self.den), tuple(coeffs), terms)
 
     def __str__(self) -> str:
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
+        if self.den == (1,):
+            return _poly_str(self.num)
+        return f"({_poly_str(self.num)})/({_poly_str(self.den)})"
 
     def __repr__(self) -> str:
         return f"RationalFunction({str(self)!r})"
@@ -290,6 +246,6 @@ class RationalFunction:
     def to_json_obj(self) -> dict:
         """JSON form with exact integer-pair coefficients."""
         return {
-            "num": [[c.numerator, c.denominator] for c in self.num.coeffs],
-            "den": [[c.numerator, c.denominator] for c in self.den.coeffs],
+            "num": [[c.numerator, c.denominator] for c in self.num],
+            "den": [[c.numerator, c.denominator] for c in self.den],
         }

@@ -1,10 +1,11 @@
 """The unitary Weingarten function as an exact rational function of n.
 
 Values come from the character formula, all cycle types of one L at
-once as integer numerators over one denominator L! * D_L.  ``wg_sum``
-adds weighted Weingarten products over those same denominators and
-reduces once, so only this module knows them; ``wg`` and ``wg_table``
-reduce a value only when it is asked for.  The tests check the
+once as integer numerators over one denominator L! * D_L, kept in one
+bounded cache.  ``wg_sum`` adds weighted Weingarten products over those
+same denominators and reduces once, so only this module knows them;
+``wg`` and ``wg_table`` reduce each value they return, which costs
+about 0.1 ms, so no reduced value is cached.  The tests check the
 values against an independent route, direct inversion of
 sigma -> n^#cycles(sigma) in the group ring (``wg_inversion`` in
 ``tests/oracles.py``), and ``wg_sum`` on general Haar moment integrals
@@ -19,7 +20,7 @@ from collections import Counter
 from functools import lru_cache, reduce
 
 from .perm import Partition, character, check_partition, dimension, partitions
-from .ratfn import Polynomial, RationalFunction
+from .ratfn import RationalFunction
 
 
 def wg(mu: Partition) -> RationalFunction:
@@ -28,14 +29,9 @@ def wg(mu: Partition) -> RationalFunction:
     Character formula: sum over partitions lambda of L of
     dim(lambda) * chi_lambda(mu) / (L! * prod of (n + j - i)).
     """
-    return _wg_reduced(check_partition(sorted(mu, reverse=True)))
-
-
-@lru_cache(maxsize=None)
-def _wg_reduced(mu: Partition) -> RationalFunction:
-    """wg(mu) in canonical form: the one place the table values are reduced."""
+    mu = check_partition(sorted(mu, reverse=True))
     den, nums = _wg_values(sum(mu))
-    return RationalFunction(Polynomial(nums[mu]), Polynomial(den))
+    return RationalFunction(nums[mu], den)
 
 
 class WeingartenTable:
@@ -69,7 +65,8 @@ def wg_table(L: int) -> WeingartenTable:
     """Table computed through the character formula."""
     if L < 0:
         raise ValueError(f"L must be nonnegative, got {L}")
-    return WeingartenTable(L, {mu: _wg_reduced(mu) for mu in _wg_values(L)[1]})
+    den, nums = _wg_values(L)
+    return WeingartenTable(L, {mu: RationalFunction(num, den) for mu, num in nums.items()})
 
 
 def wg_sum(sizes: list[int], weights: dict[tuple[Partition, ...], list[int]]) -> RationalFunction:
@@ -86,7 +83,7 @@ def wg_sum(sizes: list[int], weights: dict[tuple[Partition, ...], list[int]]) ->
             weight = _pmul(weight, nums[mu])
         num = [a + b for a, b in itertools.zip_longest(num, weight, fillvalue=0)]
     den = reduce(_pmul, [table[0] for table in tables], [1])
-    return RationalFunction(Polynomial(num), Polynomial(den))
+    return RationalFunction(num, den)
 
 
 @lru_cache(maxsize=16)
@@ -97,8 +94,8 @@ def _wg_values(L: int) -> tuple[tuple[int, ...], dict[Partition, tuple[int, ...]
     polynomials: the product over contents c of (n + c) to the largest
     number of cells of content c in any diagram.  So each value is one
     integer numerator over L! * D.  Returns L! * D and the numerators, as
-    integer coefficient tuples shared by every caller.  ``wg_sum`` reads
-    only these; ``_wg_reduced`` puts a value in canonical form.
+    integer coefficient tuples shared by every caller; ``wg``, ``wg_table``
+    and ``wg_sum`` read only these.
     """
     lams = list(partitions(L))
     contents = [

@@ -5,10 +5,12 @@ production route against: a per-pair scan, a sigma-by-sigma class-count
 scan, a per-matching diagonal scan, a group-ring Weingarten inversion,
 the general Haar moment integral, the pair order by distances, the
 leading term via solution classes, permutations under the absolute
-order with its Mobius function, and small helpers, among them the sum
-``rf_add`` and product ``rf_mul`` of rational functions and the
-``monomial`` c * n^e that the tests write rational functions with.  The
-package itself calls none of them.
+order with its Mobius function, the reduction of a rational function
+over Q by Fraction long division (``reduce_over_q``), and small helpers,
+among them the sum ``rf_add`` and product ``rf_mul`` of rational
+functions and the ``monomial`` c * n^e that the tests write rational
+functions with.  Polynomials are coefficient sequences, index = degree,
+as in the package.  The package itself calls none of them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from wordmeasure.perm import Partition, check_partition, mobius_of_cycle_type, partitions
-from wordmeasure.ratfn import Polynomial, RationalFunction
+from wordmeasure.ratfn import RationalFunction
 from wordmeasure.solutions import matching_dist, solution_classes
 from wordmeasure.surfaces import (
     DEFAULT_PAIR_CAP,
@@ -529,8 +531,7 @@ def wg_inversion(L: int, *, limit: int = WG_INVERSION_LIMIT) -> WeingartenTable:
         nums[i] = _pdiv_exact(acc, aug[i][i])
     return WeingartenTable(
         L,
-        {mu: RationalFunction(Polynomial(nums[a]), Polynomial(det))
-         for a, mu in enumerate(classes)},
+        {mu: RationalFunction(nums[a], det) for a, mu in enumerate(classes)},
     )
 
 
@@ -736,47 +737,38 @@ def conjugacy_class_size(mu: Partition) -> int:
 
 
 # oracle for the Weingarten denominators: content polynomials cell by cell
-def content_polynomial(lam: Partition) -> Polynomial:
+def content_polynomial(lam: Partition) -> tuple[int, ...]:
     """Product of (n + j - i) over the cells (i, j) of the diagram."""
     lam = check_partition(lam)
     poly = [1]
     for i, row in enumerate(lam):
         for j in range(row):
             poly = _pmul(poly, [j - i, 1])
-    return Polynomial(poly)
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------
 # oracles for wordmeasure.ratfn
 
 
-# oracle helper: a rational function from coefficient lists
-def rf(num: Sequence[Fraction | int], den: Sequence[Fraction | int] = (1,)) -> RationalFunction:
-    """Shorthand constructor from coefficient lists (index = degree)."""
-    return RationalFunction(Polynomial(num), Polynomial(den))
-
-
 # oracle helpers: the sum and product of rational functions, over the
 # product of the denominators, reduced once by the constructor
 def rf_add(f: RationalFunction, g: RationalFunction) -> RationalFunction:
-    left = _pmul(f.num.coeffs, g.den.coeffs)
-    right = _pmul(g.num.coeffs, f.den.coeffs)
+    left = _pmul(f.num, g.den)
+    right = _pmul(g.num, f.den)
     num = [a + b for a, b in itertools.zip_longest(left, right, fillvalue=0)]
-    return RationalFunction(Polynomial(num), Polynomial(_pmul(f.den.coeffs, g.den.coeffs)))
+    return RationalFunction(num, _pmul(f.den, g.den))
 
 
 def rf_mul(f: RationalFunction, g: RationalFunction) -> RationalFunction:
-    return RationalFunction(
-        Polynomial(_pmul(f.num.coeffs, g.num.coeffs)),
-        Polynomial(_pmul(f.den.coeffs, g.den.coeffs)),
-    )
+    return RationalFunction(_pmul(f.num, g.num), _pmul(f.den, g.den))
 
 
 # oracle helper: c * n^e for any integer e
 def monomial(e: int, c: Fraction | int = 1) -> RationalFunction:
     if e >= 0:
-        return RationalFunction(Polynomial((0,) * e + (c,)))
-    return RationalFunction(Polynomial((c,)), Polynomial((0,) * -e + (1,)))
+        return RationalFunction((0,) * e + (c,))
+    return RationalFunction((c,), (0,) * -e + (1,))
 
 
 # oracle helper: the order of a rational function at n = infinity
@@ -784,11 +776,72 @@ def degree_at_infinity(f: RationalFunction) -> int | None:
     """deg(num) - deg(den); None for the zero function."""
     if f.is_zero:
         return None
-    return f.num.degree - f.den.degree
+    return len(f.num) - len(f.den)
 
 
 # oracle for RationalFunction.to_json_obj: its inverse
 def from_json_obj(obj: dict) -> RationalFunction:
-    num = Polynomial(Fraction(p, q) for p, q in obj["num"])
-    den = Polynomial(Fraction(p, q) for p, q in obj["den"])
-    return RationalFunction(num, den)
+    return RationalFunction(
+        [Fraction(p, q) for p, q in obj["num"]],
+        [Fraction(p, q) for p, q in obj["den"]],
+    )
+
+
+# oracle for the RationalFunction constructor: reduction over Q, by
+# Fraction long division and a content-stripped remainder sequence,
+# where the constructor takes pseudo-remainders over Z
+def integer_primitive(a: Sequence[Fraction | int]) -> tuple[Fraction, list[int]]:
+    """Write a == scale * prim with scale > 0 and prim a primitive integer
+    polynomial of the sign of a; the zero polynomial gives (1, [])."""
+    a = [Fraction(c) for c in a]
+    while a and a[-1] == 0:
+        a.pop()
+    if not a:
+        return Fraction(1), []
+    m = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * m) for c in a]
+    content = math.gcd(*ints)
+    return Fraction(content, m), [v // content for v in ints]
+
+
+def qdivmod(a: Sequence, b: Sequence) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b, by long division over Q."""
+    rem = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    for p in (rem, b):
+        while p and p[-1] == 0:
+            p.pop()
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    if len(rem) < len(b):
+        return [], rem
+    quot = [Fraction(0)] * (len(rem) - len(b) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = rem[k + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    rem = rem[: len(b) - 1]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def reduce_over_q(
+    num: Sequence[Fraction | int], den: Sequence[Fraction | int]
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The canonical (num, den) of num / den: coprime, den primitive
+    integer with positive leading coefficient, zero as () over (1,)."""
+    s_num, p_num = integer_primitive(num)
+    s_den, p_den = integer_primitive(den)
+    if not p_den:
+        raise ZeroDivisionError("zero denominator")
+    if not p_num:
+        return (), (Fraction(1),)
+    a, b = p_num, p_den
+    while b:
+        a, b = b, integer_primitive(qdivmod(a, b)[1])[1]
+    (p_num, r_num), (p_den, r_den) = qdivmod(p_num, a), qdivmod(p_den, a)
+    assert not r_num and not r_den
+    sign = 1 if p_den[-1] > 0 else -1
+    scale = sign * s_num / s_den
+    return tuple(c * scale for c in p_num), tuple(sign * c for c in p_den)

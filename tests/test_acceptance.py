@@ -32,17 +32,16 @@ from oracles import (
     mobius,
     moment,
     pair_leq,
-    rf,
     wg_inversion,
 )
 
 GOLDEN = {
-    "[x,y]": (2, rf((1,), (0, 1))),
-    "[x^2,y]": (2, rf((2,), (0, 1))),
-    "[x,y]^2": (2, rf((-4,), (0, -1, 0, 1))),
-    "[x,y]^3": (2, rf((36, 0, 9), (0, 4, 0, -5, 0, 1))),
+    "[x,y]": (2, RationalFunction((1,), (0, 1))),
+    "[x^2,y]": (2, RationalFunction((2,), (0, 1))),
+    "[x,y]^2": (2, RationalFunction((-4,), (0, -1, 0, 1))),
+    "[x,y]^3": (2, RationalFunction((36, 0, 9), (0, 4, 0, -5, 0, 1))),
     "[x,y][x,z]": (3, RationalFunction.zero()),
-    "[x,y][x^2y^2,z]": (3, rf((-8, 0, 1), (0, 4, 0, -5, 0, 1))),
+    "[x,y][x^2y^2,z]": (3, RationalFunction((-8, 0, 1), (0, 4, 0, -5, 0, 1))),
     "[x,y][x,z][x,t]": (4, RationalFunction.zero()),
 }
 
@@ -64,11 +63,11 @@ def budget(criterion: str, seconds: float):
 
 def test_criterion_01_weingarten_tables():
     with budget("1 (Weingarten tables)", 5):
-        assert wg((1, 1)) == rf((1,), (-1, 0, 1))
-        assert wg((2,)) == rf((-1,), (0, -1, 0, 1))
-        assert wg((1, 1, 1)) == rf((-2, 0, 1), (0, 4, 0, -5, 0, 1))
-        assert wg((2, 1)) == rf((-1,), (4, 0, -5, 0, 1))
-        assert wg((3,)) == rf((2,), (0, 4, 0, -5, 0, 1))
+        assert wg((1, 1)) == RationalFunction((1,), (-1, 0, 1))
+        assert wg((2,)) == RationalFunction((-1,), (0, -1, 0, 1))
+        assert wg((1, 1, 1)) == RationalFunction((-2, 0, 1), (0, 4, 0, -5, 0, 1))
+        assert wg((2, 1)) == RationalFunction((-1,), (4, 0, -5, 0, 1))
+        assert wg((3,)) == RationalFunction((2,), (0, 4, 0, -5, 0, 1))
         for L in range(1, 7):
             oracle = wg_inversion(L)
             for mu in partitions(L):
@@ -78,7 +77,7 @@ def test_criterion_01_weingarten_tables():
 def test_criterion_02_moment_formula():
     with budget("2 (moment formula)", 1):
         value = moment([(1, 1), (3, 3)], [(2, 4), (4, 2)])
-        assert value == rf((-1,), (0, -1, 0, 1))
+        assert value == RationalFunction((-1,), (0, -1, 0, 1))
 
 
 def test_criterion_03_golden_traces():

@@ -209,6 +209,17 @@ class TestOtherCommands:
         assert "stderr = 0.00e+00" in out
         assert out.splitlines()[-1] == line
 
+    def test_verify_mc_below_the_validity_threshold(self, capsys):
+        # [x,y]^2 needs n >= 2: at n = 1 the sampling runs, the exact value does not
+        argv = ["verify-mc", "-w", "[x,y]^2", "--n", "1", "--samples", "100"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == "exact value not evaluated (n below validity threshold 2)"
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["exact"] is None and obj["within_4_sigma"] is None
+
 
 class TestErrorsAndConfig:
     def test_syntax_error_exit_code(self, capsys):
@@ -602,7 +613,7 @@ def test_package_serves_monte_carlo_names_on_first_use():
 # every name the package exported when it imported all of its modules
 PACKAGE_EXPORTS = {
     "perm": ("character", "dimension", "partitions"),
-    "ratfn": ("LaurentSeries", "PoleError", "Polynomial", "RationalFunction"),
+    "ratfn": ("LaurentSeries", "PoleError", "RationalFunction"),
     "solutions": (
         "OrderComplex", "PairPoset", "Presentation", "SolutionClass", "complex_euler",
         "is_incompressible", "mobius_sum", "order_complex", "pi1_presentation",
