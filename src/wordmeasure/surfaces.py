@@ -5,14 +5,16 @@ A matching pair (sigma, tau) determines a closed-up surface whose
 by cycles of sigma^-1 tau within each generator.  Every letter junction
 meets exactly two edge ends, so the sigma and tau edges form a 2-regular
 graph on the junctions, and the blocks are its cycles: ``_lay`` counts
-them as it closes them.  Only those two counts matter: Euler
-characteristic = blocks + cycles - 2L, so no complex is ever built.
-The class counts of all pairs come from ``_summed_scan``, which lays
-one generator's edges at a time and merges the partial states that a
-relabelling of occurrences carries into each other (``_form``).  The
-diagonal maximum and the diagonal pairs at it come from
-``_diagonal_search``, which lays one positive occurrence at a time and
-merges its states by the same ``_form``.
+them as it closes them.  The same edges, read between occurrences, form
+a 2-regular graph whose cycles are those of sigma^-1 tau.  Only those
+two counts matter: Euler characteristic = blocks + cycles - 2L, so no
+complex is ever built.  The class counts of all pairs come from
+``_summed_scan``, which lays one sigma or tau edge at a time on both
+graphs and merges the partial states that a relabelling of occurrences
+carries into each other (``_form``).  The diagonal maximum and the
+diagonal pairs at it come from ``_diagonal_search``, which lays one
+positive occurrence at a time and merges its states by the same
+``_form``.
 """
 
 from __future__ import annotations
@@ -158,8 +160,9 @@ def _lay(other: list[int], sources, targets, images) -> int:
     ``other[s]`` is the far free end of the open path at free slot s.  An
     edge between the two ends of one path closes a cycle; any other edge
     joins two paths into one, whose far ends now point at each other.
-    Returns the cycles closed.  Every sigma, tau and pi edge of the
-    scans and of the diagonal search is laid here.
+    Returns the cycles closed.  Every sigma and tau edge of the scans and
+    of the diagonal search is laid here, and the class-count scan lays
+    each on its second path-end array, ``mate``, too.
     """
     closed = 0
     for a, v in zip(sources, images):
@@ -192,11 +195,6 @@ def _cycle_lengths(a, b) -> list[int]:
             k = inv[b[k]]
         lengths.append(size)
     return lengths
-
-
-def _cycle_type(p) -> Partition:
-    """Cycle type of the permutation with image vector p."""
-    return tuple(sorted(_cycle_lengths(range(len(p)), p), reverse=True))
 
 
 def _sigma_paths(occ: OccurrenceTable, sigma_parts) -> tuple[list[int], int]:
@@ -390,16 +388,19 @@ def _form(other, mate, kind, ports) -> tuple:
 
     The loops are ``_summed_scan`` and ``_diagonal_pass``.  The free
     slots pair up twice: by ``other``, the two ends of an open path, and
-    by ``mate``, the two free slots of one occurrence, or of one index
-    once the summed scan lays its sigma.  So they form disjoint cycles.
-    Both pairings join a letter end (a tau source or sigma target) to a
-    letter start, and ``ports`` lists the free letter ends, so a walk
-    from a port that takes ``mate`` first reads each cycle one way
-    round.  A relabelling permutes the occurrences, or the indices, of
-    one generator and keeps every kind, and at one level of either loop
-    a port's kind fixes its mate's.  So a state is named by the sorted
-    words of ``kind`` values its cycles pass at their ports, each at its
-    least rotation.
+    by ``mate``, the two free slots of one occurrence in the diagonal
+    pass, and the two ends of a path of sigma and tau edges between
+    occurrences in the summed scan.  So they form disjoint cycles.  Both
+    pairings join a letter end (a tau source or sigma target) to a letter
+    start, and ``ports`` lists the free letter ends, so a walk from a
+    port that takes ``mate`` first reads each cycle one way round.
+    ``kind`` is the per-slot token: the slot's kind in the diagonal
+    pass, and in the summed scan the kind plus a multiple of 4 that
+    counts the edges on its ``mate`` path.  A relabelling permutes the
+    occurrences of one generator, or its ``mate`` paths of one length,
+    and keeps every token, and at one level of either loop a port's
+    token fixes its mate's.  So a state is named by the sorted words of
+    tokens its cycles pass at their ports, each at its least rotation.
     """
     seen = set()
     words = []
@@ -439,73 +440,63 @@ def _mates_and_ports(occ: OccurrenceTable) -> tuple[list[int], list[int]]:
 
 
 def _summed_scan(occ: OccurrenceTable) -> dict[tuple[tuple[Partition, ...], int], int]:
-    """Class counts, one generator's edges at a time, states merged by ``_form``.
+    """Class counts, one sigma or tau edge at a time, states merged by ``_form``.
 
-    Each tau is written as sigma pi, so the cycle type of sigma^-1 tau is
-    that of pi, read per generator.  The stages lay sigma of each active
-    generator and then pi of each, in one order: by count, the most
-    occurrences last.  Once sigma(k) = j is laid, index k has the tau
-    source of k and the tau target of j, which the state's path-end
-    array names as the tau target of k; so pi's edge from k runs to the
-    target named pi(k), as in the per-pair test oracle ``_scan``.
-    Relabelling a pending generator's occurrences
-    (sigma -> beta sigma alpha^-1) or a laid one's indices (pi -> gamma
-    pi gamma^-1) keeps every count read later, so a state is one
-    ``_form``, with one path-end array and the histogram {(cycle types
-    so far, cycles closed): pairs}.  A move's boundary is keyed by the
-    port each port reaches through its mate and then its path, which
-    names each index by its tau source, and ``_form`` is memoised on it.
+    Besides ``other``, a state keeps a second path-end array, ``mate``,
+    over the same free slots.  At the start it pairs the two free slots
+    of each occurrence, as ``_mates_and_ports`` does, and each edge
+    relinks it by ``_lay``'s rule as well: a ``mate`` path runs through
+    occurrences of one generator along sigma and tau edges in turn, so
+    one that closes after e edges is a cycle of sigma^-1 tau of length
+    (e + 1) / 2.  ``token[s]`` is ``kind[s]`` plus ``width`` times the
+    edges on the ``mate`` path at s.  Each step lays the edge from one
+    generator's first unlaid source to each of its free targets: every
+    sigma edge first, then every tau edge, each in generator order, the
+    fewest occurrences first.  Relabelling a generator's free
+    occurrences, or its ``mate`` paths of one length, keeps every count
+    read later, so a state is one ``_form`` of its two arrays and its
+    tokens, with one representative, its images so far and the
+    histogram {(cycle types so far, blocks): pairs}.
     """
-    active = occ.active
-    order = sorted(active, key=occ.counts.__getitem__)
-    kind, size = occ.kind, len(occ.kind)
+    order = sorted(occ.active, key=occ.counts.__getitem__)
+    kind, width = occ.kind, 4 * occ.rank
     mate, ports = _mates_and_ports(occ)
-    states = {(): [list(occ.bare), {((), 0): 1}]}
-    for pi_stage, i in [(False, i) for i in order] + [(True, i) for i in order]:
-        src, tgt = (occ.tau_src[i], occ.tau_tgt[i]) if pi_stage else (
+    # form -> [path ends, mates, tokens, ports, images so far, histogram]
+    states = {(): [list(occ.bare), mate, list(kind), ports, (),
+                   {(((),) * len(order), 0): 1}]}
+    for tau, g in itertools.product((False, True), range(len(order))):
+        i = order[g]
+        src, tgt = (occ.tau_src[i], occ.tau_tgt[i]) if tau else (
             occ.sigma_src[i], occ.sigma_tgt[i])
-        ports = [s for s in ports if s not in src and s not in tgt]
-        if not pi_stage:
-            for a, b in zip(occ.tau_src[i], occ.tau_tgt[i]):
-                mate[a], mate[b] = b, a
-            at = [ports.index(a) for a in occ.tau_src[i]]
-        ends = [mate[s] for s in ports]
-        moves = []
-        for p in itertools.permutations(range(occ.counts[i])):
-            if pi_stage:
-                moves.append((p, ends, (_cycle_type(p),)))
-            else:
-                # the path from tau source k now ends at sigma(k)'s tau target
-                reached = ends.copy()
-                for k, v in zip(at, p):
-                    reached[k] = occ.tau_tgt[i][v]
-                moves.append((p, reached, ()))
-        names: dict[tuple, tuple] = {}
-        merged: dict[tuple, list] = {}
-        for base, hist in states.values():
-            # (boundary left, cycle type grown, cycles closed) -> moves
-            outcomes: dict[tuple, int] = {}
-            for p, reached, grow in moves:
-                other = base.copy()
-                extra = _lay(other, src, tgt, p)
-                key = (tuple(map(other.__getitem__, reached)), grow, extra)
-                outcomes[key] = outcomes.get(key, 0) + 1
-            for (rest, grow, extra), m in outcomes.items():
-                form = names.get(rest)
-                if form is None:
-                    other = [0] * size
-                    for b, a in zip(ends, rest):
-                        other[a], other[b] = b, a
-                    form = names[rest] = _form(other, mate, kind, ports)
-                    merged.setdefault(form, [other, {}])
-                target = merged[form][1]
-                for (types, closed), count in hist.items():
-                    key = (types + grow, closed + extra)
-                    target[key] = target.get(key, 0) + count * m
-        states = merged
-    ((_, hist),) = states.values()
-    # types in stage order, back to active order
-    back = [order.index(i) for i in active]
+        for k, a in enumerate(src):
+            merged: dict[tuple, list] = {}
+            for other, mate, token, ports, images, hist in states.values():
+                taken = images[len(images) - k:]  # generator i's so far
+                for v, b in enumerate(tgt):
+                    if v in taken:
+                        continue
+                    o, m, t = other.copy(), mate.copy(), token.copy()
+                    closed = _lay(o, (a,), tgt, (v,))
+                    length = 0
+                    if _lay(m, (a,), tgt, (v,)):
+                        length = (t[a] // width + 1) // 2
+                    else:
+                        edges = (t[a] // width + t[b] // width + 1) * width
+                        t[m[a]], t[m[b]] = kind[m[a]] + edges, kind[m[b]] + edges
+                    left = ports.copy()
+                    left.remove(a if tau else b)
+                    form = _form(o, m, t, left)
+                    target = merged.setdefault(form, [o, m, t, left, images + (v,), {}])[5]
+                    for (types, blocks), count in hist.items():
+                        if length:
+                            grown = tuple(sorted((*types[g], length), reverse=True))
+                            types = (*types[:g], grown, *types[g + 1:])
+                        key = (types, blocks + closed)
+                        target[key] = target.get(key, 0) + count
+            states = merged
+    ((*_, hist),) = states.values()
+    # types in generator order, back to active order
+    back = [order.index(i) for i in occ.active]
     return {(tuple([t[j] for j in back]), blocks): count
             for (t, blocks), count in hist.items()}
 
@@ -616,9 +607,9 @@ def class_counts(
     This is the whole content of the pair enumeration needed for the
     exact trace: the Weingarten weight of a pair depends only on the
     cycle types, and the power of n only on the block count.  The cap
-    applies to the full pair count, although ``_summed_scan`` visits
-    far fewer pairs: it lays one generator's sigma or pi at a time, once
-    per relabelling class of the state the generators before it left.
+    applies to the full pair count, although ``_summed_scan`` visits no
+    pair: it lays one sigma or tau edge at a time, once per free target
+    and per relabelling class of the state the edges before it left.
     """
     total = occ.pair_count()
     if total > cap:

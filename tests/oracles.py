@@ -30,7 +30,7 @@ from wordmeasure.surfaces import (
     MatchingPair,
     OccurrenceTable,
     PairCapExceeded,
-    _cycle_type,
+    _cycle_lengths,
     _lay,
     _sigma_paths,
     diagonal_max_euler,
@@ -346,6 +346,11 @@ def _boundary_classes(occ: OccurrenceTable) -> dict[tuple, list]:
         else:
             entry[0] += count
     return classes
+
+
+def _cycle_type(p) -> Partition:
+    """Cycle type of the permutation with image vector p."""
+    return tuple(sorted(_cycle_lengths(range(len(p)), p), reverse=True))
 
 
 def summed_scan_by_sigma(occ: OccurrenceTable) -> dict[tuple[tuple[Partition, ...], int], int]:

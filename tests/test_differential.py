@@ -191,6 +191,7 @@ def test_summed_scan_matches_the_sigma_by_sigma_scan(t):
     "texts",
     [
         ["[x,y]^5"],
+        ["[x,y]^6"],
         ["[x^2,y^2]^2"],
         ["[x,y]^2", "[x,y]^2"],
         # perfbench.workloads.commutator_word(random.Random("scan:<counts>"),
@@ -199,7 +200,10 @@ def test_summed_scan_matches_the_sigma_by_sigma_scan(t):
         ["[Z,x][z,YzzYZX]"],
         ["[YYTTT,Xzz][z,t]"],
     ],
-    ids=["[x,y]^5", "[x^2,y^2]^2", "([x,y]^2,[x,y]^2)", "(5,5,1)", "(2,2,5)", "(1,2,3,4)"],
+    ids=[
+        "[x,y]^5", "[x,y]^6", "[x^2,y^2]^2", "([x,y]^2,[x,y]^2)",
+        "(5,5,1)", "(2,2,5)", "(1,2,3,4)",
+    ],
 )
 def test_summed_scan_matches_the_sigma_by_sigma_scan_on_big_words(texts):
     occ = occurrences(parse_tuple(texts, 4))

@@ -126,12 +126,13 @@ class TestHistograms:
 
     @pytest.mark.parametrize("c", [1, 2, 3, 4, 5])
     def test_g_star_histogram_depends_on_cycle_type_alone(self, c):
-        # the summed scan's last stage, pi of g*, with states merged by
-        # ``_form``: once every other generator is laid, each open path
-        # pairs the tau source of one index m of g* with the tau target of
-        # index P(m) (labels 2m and 2 P(m) + 1 here), the form is the cycle
-        # type of P, and the histogram of (cycle type of pi, cycles pi's
-        # edges close) over all pi is the same for every P of one cycle type
+        # the sigma-by-sigma oracle's last stage, pi of g*, with states
+        # merged by boundary class: once every other generator is laid,
+        # each open path pairs the tau source of one index m of g* with the
+        # tau target of index P(m) (labels 2m and 2 P(m) + 1 here), the
+        # class is the cycle type of P, and the histogram of (cycle type of
+        # pi, cycles pi's edges close) over all pi is the same for every P
+        # of one cycle type
         sources, targets = range(0, 2 * c, 2), range(1, 2 * c, 2)
         perms = list(itertools.permutations(range(c)))
         by_type = {}
@@ -355,31 +356,54 @@ class TestPrimitives:
         assert verdicts == {True, False}
 
 
-def _level(sizes, laid):
-    """A level of the summed scan on made-up slots: kind, mate, ports, vertices.
+def _level(gens):
+    """A level of the summed scan on made-up slots: kind, mate, token, ports, vertices.
 
-    Generator j has sizes[j] occurrences of each sign.  If laid[j], its
-    sigma is laid and index k is one vertex, a tau source (a letter end)
-    and a tau target (a letter start); otherwise positive occurrence k
-    is a tau source and a sigma source, and negative occurrence k a
-    sigma target and a tau target.  A vertex is (letter end, letter
-    start); ``vertices`` lists, per relabelling class (one per laid
-    generator, two per pending one), the vertices of that class.
+    ``gens[j]`` is (pending, elens) for generator j: ``pending`` of its
+    occurrences of each sign still await their sigma edge, and each entry
+    of ``elens`` is one mate path of that many edges left by the edges
+    laid so far, which joins a tau source (a letter end) to a tau target
+    (a letter start).  Positive occurrence k is a tau source and a sigma
+    source, negative occurrence k a sigma target and a tau target.  A
+    vertex is (letter end, letter start), and both carry the token kind
+    + width * edges, as in the scan.  ``vertices`` lists, per relabelling
+    class (the pending positive occurrences, the pending negative ones,
+    and the paths of one edge count), the vertices of that class.
     """
-    kind, mate, ports, vertices = [], [], [], []
+    width = 4 * len(gens)
+    kind, mate, token, ports, vertices = [], [], [], [], []
 
-    def vertex(end, start):
+    def vertex(end, start, edges):
         a, b = len(kind), len(kind) + 1
         kind.extend([end, start])
         mate.extend([b, a])
+        token.extend([end + edges * width, start + edges * width])
         ports.append(a)
         return a, b
 
-    for j, (c, done) in enumerate(zip(sizes, laid)):
-        pairs = [(2, 3)] if done else [(2, 0), (1, 3)]
-        for end, start in pairs:
-            vertices.append([vertex(4 * j + end, 4 * j + start) for _ in range(c)])
-    return kind, mate, ports, vertices
+    for j, (pending, elens) in enumerate(gens):
+        groups = [(2, 0, 0, pending), (1, 3, 0, pending)] if pending else []
+        groups += [(2, 3, e, elens.count(e)) for e in sorted(set(elens))]
+        for end, start, edges, c in groups:
+            vertices.append([vertex(4 * j + end, 4 * j + start, edges) for _ in range(c)])
+    return kind, mate, token, ports, vertices
+
+
+def _levels(sizes):
+    """Three levels with ``sizes[j]`` occurrences of each sign of generator j.
+
+    Every sigma edge laid but the last generator's; about half of the
+    last generator's laid, mixing paths of 0 and 1 edges; and every
+    sigma edge laid, with the tau edges laid so far leaving paths of 1
+    and 3 edges.
+    """
+    laid = [(0, [1] * c) for c in sizes[:-1]]
+    last = sizes[-1]
+    return [
+        laid + [(last, [])],
+        laid + [(last // 2, [1] * (last - last // 2))],
+        [(0, [1 + 2 * ((j + k) // 2 % 2) for k in range(c)]) for j, c in enumerate(sizes)],
+    ]
 
 
 def _pairing(ports, mate, starts):
@@ -402,42 +426,59 @@ def _relabel(other, vertices, images):
     return moved
 
 
-def _laid(other, mate, ports, sources, targets, images, sigma):
-    """Lay images' edges from sources to targets on a copy of ``other``.
+def _laid(level, width, other, sources, targets, images):
+    """Lay images' edges from sources to targets one at a time, as the scan does.
 
-    The letter ends among sources and targets leave the ports.  After a
-    sigma, the tau source of positive occurrence k is the mate of the tau
-    target of negative occurrence images[k].  Returns the copy, its
-    mates, its ports and the cycles closed.
+    Each edge relinks copies of ``other`` and of the level's mates by
+    ``_lay``'s rule, and its letter end leaves the ports.  A mate path
+    that closes is a cycle of sigma^-1 tau of length (edges + 1) / 2;
+    otherwise both far ends get the edges of the two paths plus one.
+    Returns the copies, the tokens, the ports, the blocks closed and the
+    sorted cycle lengths closed.
     """
-    other, mate = other.copy(), mate.copy()
-    closed = surfaces._lay(other, sources, targets, images)
-    if sigma:
-        for b, v in zip(sources, images):
-            a, t = mate[b], mate[targets[v]]
-            mate[a], mate[t] = t, a
-    gone = set(sources) | set(targets)
-    return other, mate, [s for s in ports if s not in gone], closed
+    kind, mate, token, ports, _ = level
+    other, mate, token, ports = other.copy(), mate.copy(), token.copy(), ports.copy()
+    blocks, lengths = 0, []
+    for a, v in zip(sources, images):
+        b = targets[v]
+        blocks += surfaces._lay(other, (a,), (b,), (0,))
+        if surfaces._lay(mate, (a,), (b,), (0,)):
+            lengths.append((token[a] // width + 1) // 2)
+        else:
+            edges = (token[a] // width + token[b] // width + 1) * width
+            token[mate[a]] = kind[mate[a]] + edges
+            token[mate[b]] = kind[mate[b]] + edges
+        ports.remove(a if kind[a] % 4 == 2 else b)
+    return other, mate, token, ports, blocks, sorted(lengths)
 
 
 @st.composite
 def relabelled_states(draw):
     """A made-up level, a path-end array on it, one permutation per
-    relabelling class, and one move per generator: its sigma if pending,
-    its pi if laid."""
+    relabelling class, and one move per generator: its sigma edges if
+    some are pending, else its tau edges.  The level is part-way through
+    the sigma edges, with none, some or all of each generator's laid, or
+    part-way through the tau edges, with paths of 1, 3 and 5 edges."""
     sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    laid = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
-    level = _level(sizes, laid)
-    starts = draw(st.permutations([level[1][a] for a in level[2]]))
-    images = [draw(st.permutations(range(len(cls)))) for cls in level[3]]
-    moves = [draw(st.permutations(range(c))) for c in sizes]
-    return laid, level, starts, images, moves
+    tau = draw(st.booleans())
+    gens = []
+    for c in sizes:
+        if tau:
+            gens.append((0, draw(st.lists(st.sampled_from([1, 3, 5]), min_size=c, max_size=c))))
+        else:
+            pending = draw(st.integers(0, c))
+            gens.append((pending, [1] * (c - pending)))
+    level = _level(gens)
+    starts = draw(st.permutations([level[1][a] for a in level[3]]))
+    images = [draw(st.permutations(range(len(cls)))) for cls in level[4]]
+    moves = [draw(st.permutations(range(pending or len(elens)))) for pending, elens in gens]
+    return gens, level, starts, images, moves
 
 
 def _forms_by_level(monkeypatch):
     """Record the distinct ``_form`` values of each level of a scan.
 
-    Every stage takes at least one port away, so the port count names
+    Every step takes at least one port away, so the port count names
     the level.
     """
     forms = {}
@@ -458,23 +499,26 @@ class TestBoundaryClasses:
     @pytest.mark.parametrize(
         "texts, levels",
         [
-            (["[x,y]^4"], [10, 2, 5, 1]),
-            (["[x^2,y^2]^2"], [13, 41, 5, 1]),
-            (["[x,y]^2", "[x,y]^2"], [8, 3, 5, 1]),
-            (["[x,y]^5"], [19, 4, 7, 1]),
+            (["[x,y]^4"], [4, 12, 18, 10, 14, 17, 8, 2, 7, 19, 18, 5, 7, 8, 4, 1]),
+            (["[x^2,y^2]^2"], [4, 12, 22, 13, 31, 82, 94, 41, 83, 107, 47, 5, 7, 8, 4, 1]),
+            (["[x,y]^2", "[x,y]^2"], [3, 5, 10, 8, 11, 17, 9, 3, 9, 19, 18, 5, 7, 8, 4, 1]),
+            (["[x,y]^5"], [5, 20, 49, 52, 19, 33, 47, 50, 15, 4,
+                           15, 44, 79, 46, 7, 12, 15, 12, 5, 1]),
         ],
         ids=["[x,y]^4", "[x^2,y^2]^2", "([x,y]^2,[x,y]^2)", "[x,y]^5"],
     )
     def test_class_counts(self, texts, levels, monkeypatch):
-        # the states after sigma of y, sigma of x, pi of y and pi of x: a
-        # work count, so a scan that merges less fails here and not only on
-        # words too big to test; after the last sigma they are the
-        # relabelling classes of the sigma-by-sigma oracle's boundaries
+        # the states after each edge, the L sigma edges and then the L tau
+        # edges: a work count, so a scan that merges less fails here and
+        # not only on words too big to test; after the last sigma edge
+        # they are the relabelling classes of the sigma-by-sigma oracle's
+        # boundaries
         occ = occurrences(parse_tuple(texts, 2))
         forms = _forms_by_level(monkeypatch)
         assert surfaces._summed_scan(occ) == summed_scan_by_sigma(occ)
         assert [len(forms[n]) for n in sorted(forms, reverse=True)] == levels
-        assert len({name for _, name in _boundary_classes(occ)}) == levels[1]
+        boundaries = {name for _, name in _boundary_classes(occ)}
+        assert len(boundaries) == levels[occ.L - 1]
 
     @pytest.mark.parametrize(
         "texts, rank, peaks",
@@ -508,8 +552,8 @@ class TestBoundaryClasses:
                 assert {other[s] for s in sources} == targets, text
 
     def test_a_generator_laid_leaves_a_boundary_on_the_rest(self, golden_tuples, monkeypatch):
-        # after each stage, every open path and every mate pair joins a
-        # letter end (kind 1 or 2 mod 4) to a letter start (0 or 3), so a
+        # after each step, every open path and every mate path joins a
+        # letter end (token 1 or 2 mod 4) to a letter start (0 or 3), so a
         # walk from the ports that takes mate first reads each cycle one
         # way round
         seen = []
@@ -537,31 +581,37 @@ class TestBoundaryClasses:
     @given(relabelled_states())
     def test_relabelling_keeps_the_class(self, drawn):
         # a relabelling of the vertices keeps the form, and carries each
-        # move of one state to a move of the other with the same form and
-        # cycles closed: sigma -> beta sigma alpha^-1 on a pending
-        # generator, pi -> gamma pi gamma^-1 on a laid one
-        laid, (kind, mate, ports, vertices), starts, images, moves = drawn
+        # move of one state to a move of the other with the same form,
+        # blocks and cycle lengths closed: sigma -> beta sigma alpha^-1 on
+        # a generator with sigma edges pending, tau -> gamma tau gamma^-1
+        # on one whose paths run from tau sources to tau targets
+        gens, level, starts, images, moves = drawn
+        kind, mate, token, ports, vertices = level
+        width = 4 * len(gens)
         other = _pairing(ports, mate, starts)
         moved = _relabel(other, vertices, images)
-        assert surfaces._form(moved, mate, kind, ports) == surfaces._form(
-            other, mate, kind, ports
+        assert surfaces._form(moved, mate, token, ports) == surfaces._form(
+            other, mate, token, ports
         )
         classes = iter(zip(vertices, images))
-        for done, move in zip(laid, moves):
-            if done:
-                cls, gamma = next(classes)
-                sources, targets = [a for a, _ in cls], [b for _, b in cls]
-                alpha = beta = gamma
-            else:
+        for (pending, elens), move in zip(gens, moves):
+            if pending:
                 (pos, alpha), (neg, beta) = next(classes), next(classes)
                 sources, targets = [b for _, b in pos], [a for a, _ in neg]
+            paths, gamma = [], []
+            for cls, image in itertools.islice(classes, len(set(elens))):
+                gamma += [len(paths) + v for v in image]
+                paths += cls
+            if not pending:
+                sources, targets = [a for a, _ in paths], [b for _, b in paths]
+                alpha = beta = gamma
             carried = [beta[move[alpha.index(k)]] for k in range(len(move))]
             outcomes = set()
             for state, images_ in ((other, move), (moved, carried)):
-                o, m, p, closed = _laid(
-                    state, mate, ports, sources, targets, images_, not done
+                o, m, t, p, blocks, lengths = _laid(
+                    level, width, state, sources, targets, images_
                 )
-                outcomes.add((surfaces._form(o, m, kind, p), closed))
+                outcomes.add((surfaces._form(o, m, t, p), blocks, tuple(lengths)))
             assert len(outcomes) == 1
 
     @pytest.mark.parametrize(
@@ -569,20 +619,24 @@ class TestBoundaryClasses:
     )
     def test_classes_are_the_relabelling_orbits(self, sizes):
         # every pairing of the ports with the letter starts of a made-up
-        # level, the last generator pending and the others laid, grouped
-        # by form and by brute-force orbit
-        laid = [True] * (len(sizes) - 1) + [False]
-        kind, mate, ports, vertices = _level(sizes, laid)
-        group = list(itertools.product(
-            *(itertools.permutations(range(len(cls))) for cls in vertices)
-        ))
-        by_orbit, by_form = {}, {}
-        for starts in itertools.permutations([mate[a] for a in ports]):
-            other = _pairing(ports, mate, starts)
-            key = tuple(starts)
-            if key not in by_orbit:
-                orbit = {tuple(_relabel(other, vertices, g)[a] for a in ports) for g in group}
-                by_orbit.update(dict.fromkeys(orbit, orbit))
-            by_form.setdefault(surfaces._form(other, mate, kind, ports), set()).add(key)
-        orbits = {frozenset(orbit) for orbit in by_orbit.values()}
-        assert orbits == {frozenset(keys) for keys in by_form.values()}
+        # level, grouped by form and by brute-force orbit, on three levels
+        # of ``_levels``: mate paths of 0 and 1 edges during the sigma
+        # edges, and of 1 and 3 edges during the tau edges
+        for gens in _levels(sizes):
+            kind, mate, token, ports, vertices = _level(gens)
+            group = list(itertools.product(
+                *(itertools.permutations(range(len(cls))) for cls in vertices)
+            ))
+            by_orbit, by_form = {}, {}
+            for starts in itertools.permutations([mate[a] for a in ports]):
+                other = _pairing(ports, mate, starts)
+                key = tuple(starts)
+                if key not in by_orbit:
+                    orbit = {
+                        tuple(_relabel(other, vertices, g)[a] for a in ports) for g in group
+                    }
+                    by_orbit.update(dict.fromkeys(orbit, orbit))
+                form = surfaces._form(other, mate, token, ports)
+                by_form.setdefault(form, set()).add(key)
+            orbits = {frozenset(orbit) for orbit in by_orbit.values()}
+            assert orbits == {frozenset(keys) for keys in by_form.values()}, gens
