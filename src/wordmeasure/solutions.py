@@ -11,7 +11,7 @@ and whose fundamental group presents the stabilizer of the solution.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import NamedTuple
 
 from .perm import mobius_of_cycle_type
@@ -21,10 +21,9 @@ from .surfaces import (
     MatchingPair,
     OccurrenceTable,
     PairCapExceeded,
-    _cycle_lengths,
+    _cycle_labels,
     _level_set,
     _maximal_components,
-    _transposition_neighbours,
     euler_char,
     occurrences,
 )
@@ -33,10 +32,7 @@ from .words import Word, WordTuple
 
 def matching_dist(a: Matching, b: Matching) -> int:
     """Transposition distance between two matchings: ||a^-1 b||."""
-    total = 0
-    for pa, pb in zip(a, b):
-        total += len(pa) - len(_cycle_lengths(pa, pb))
-    return total
+    return sum(len(pa) - len(set(_cycle_labels(pa, pb))) for pa, pb in zip(a, b))
 
 
 def pair_rank(p: MatchingPair) -> int:
@@ -46,10 +42,8 @@ def pair_rank(p: MatchingPair) -> int:
 def pair_mobius_value(p: MatchingPair) -> int:
     moeb = 1
     for pa, pb in zip(p[0], p[1]):
-        if pa:
-            moeb *= mobius_of_cycle_type(
-                tuple(sorted(_cycle_lengths(pa, pb), reverse=True))
-            )
+        lengths = Counter(_cycle_labels(pa, pb)).values()
+        moeb *= mobius_of_cycle_type(tuple(sorted(lengths, reverse=True)))
     return moeb
 
 
@@ -70,7 +64,7 @@ def is_incompressible(
     """
     sigma = occ.check_matching(sigma)
     tau = occ.check_matching(tau)
-    return _level_set(occ, [(sigma, tau)], euler_char(occ, sigma, tau), cap) is not None
+    return _level_set(occ, (sigma, tau), euler_char(occ, sigma, tau), cap) is not None
 
 
 class PairPoset(NamedTuple):
@@ -114,24 +108,22 @@ def _bits(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def build_poset(elements: list[MatchingPair]) -> PairPoset:
+def build_poset(covers: dict[MatchingPair, list[MatchingPair]]) -> PairPoset:
     """The pair order on one solution class, closed up from its covers.
 
-    A pair's covers are its transposition neighbours one rank lower.
-    Every comparability between maximal pairs is a chain of covers
-    inside the class (the geodesic argument of ``_maximal_components``),
-    so OR-ing the covers' below-bitsets, in rank order, gives every
-    below-set.
+    ``covers`` maps each member to the members it covers, as
+    ``_level_set`` finds them.  Every comparability between maximal
+    pairs is a chain of covers inside the class (the geodesic argument
+    of ``_maximal_components``), so OR-ing the covers' below-bitsets, in
+    rank order, gives every below-set.
     """
-    elements = sorted(elements)
+    elements = sorted(covers)
     index = {p: i for i, p in enumerate(elements)}
     ranks = [pair_rank(p) for p in elements]
     below = [0] * len(elements)
     for j in sorted(range(len(elements)), key=ranks.__getitem__):
-        for q in _transposition_neighbours(elements[j]):
-            c = index.get(q)
-            if c is not None and ranks[c] < ranks[j]:
-                below[j] |= below[c] | 1 << c
+        for c in map(index.__getitem__, covers[elements[j]]):
+            below[j] |= below[c] | 1 << c
     return PairPoset(tuple(elements), tuple(ranks), tuple(map(_bits, below)))
 
 
@@ -305,8 +297,8 @@ def solution_classes(
         raise PairCapExceeded(occ.pair_count(), cap)
     ch, components = _maximal_components(occ)
     out = []
-    for members in components:
-        poset = build_poset(members)
+    for covers in components:
+        poset = build_poset(covers)
         complex_ = order_complex(poset)
         out.append(
             SolutionClass(

@@ -14,7 +14,9 @@ graphs and merges the partial states that a relabelling of occurrences
 carries into each other (``_form``).  The diagonal maximum and the
 diagonal pairs at it come from ``_diagonal_search``, which lays one
 positive occurrence at a time and merges its states by the same
-``_form``.
+``_form``.  One pair's blocks and cycles are labelled by one walk each
+(``_blocks``, ``_cycle_labels``), from which ``_moves`` reads how each
+transposition changes chi, for the level-set search ``_level_set``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 import math
 import operator
 from collections import deque
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .perm import Partition
 from .words import WordTuple
@@ -177,59 +179,46 @@ def _lay(other: list[int], sources, targets, images) -> int:
     return closed
 
 
-def _cycle_lengths(a, b) -> list[int]:
-    """Cycle lengths of a^-1 b, for image vectors a and b of one generator."""
+def _cycle_labels(a, b) -> list[int]:
+    """Each index's label, the least index on its cycle of a^-1 b (one generator's)."""
     inv = [0] * len(a)
     for k, v in enumerate(a):
         inv[v] = k
-    seen = [False] * len(a)
-    lengths = []
+    label = [-1] * len(a)
     for start in range(len(a)):
-        if seen[start]:
-            continue
-        size = 0
         k = start
-        while not seen[k]:
-            seen[k] = True
-            size += 1
+        while label[k] < 0:
+            label[k] = start
             k = inv[b[k]]
-        lengths.append(size)
-    return lengths
+    return label
 
 
-def _sigma_paths(occ: OccurrenceTable, sigma_parts) -> tuple[list[int], int]:
-    """The path ends after the sigma edges alone, and the cycles they close."""
-    other = list(occ.bare)
-    closed = 0
-    for i, sp in zip(occ.active, sigma_parts):
-        closed += _lay(other, occ.sigma_src[i], occ.sigma_tgt[i], sp)
-    return other, closed
+def _blocks(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> list[int]:
+    """Each junction slot's label: the least slot of its block.
+
+    Every sigma and tau edge is laid once, as slot-to-slot partners, and
+    each block is walked edge, junction (s ^ 1), edge, ... from its least
+    slot.
+    """
+    partner = [0] * len(occ.bare)
+    for i in occ.active:
+        for a, b in (*zip(occ.sigma_src[i], map(occ.sigma_tgt[i].__getitem__, sigma[i])),
+                     *zip(occ.tau_src[i], map(occ.tau_tgt[i].__getitem__, tau[i]))):
+            partner[a], partner[b] = b, a
+    label = [-1] * len(partner)
+    for start in range(len(partner)):
+        s = start
+        while label[s] < 0:
+            label[s] = label[partner[s]] = start
+            s = partner[s] ^ 1
+    return label
 
 
 def euler_char(occ: OccurrenceTable, sigma: Matching, tau: Matching) -> int:
-    return _euler(occ, occ.check_matching(sigma), occ.check_matching(tau), {})
-
-
-def _euler(
-    occ: OccurrenceTable, sigma: Matching, tau: Matching, sigma_paths: dict
-) -> int:
-    """Euler characteristic of a pair of valid full matchings.
-
-    blocks + cycles - num_letters + #empty, where num_letters = 2L.
-    ``sigma_paths`` memoises ``_sigma_paths`` by sigma, so a search that
-    meets one sigma with many taus runs only the tau side for each.
-    """
-    frozen = sigma_paths.get(sigma)
-    if frozen is None:
-        frozen = _sigma_paths(occ, [sigma[i] for i in occ.active])
-        sigma_paths[sigma] = frozen
-    other = frozen[0].copy()
-    blocks = frozen[1]
-    cycles = 0
-    for i in occ.active:
-        blocks += _lay(other, occ.tau_src[i], occ.tau_tgt[i], tau[i])
-        cycles += len(_cycle_lengths(sigma[i], tau[i]))
-    return blocks + cycles + occ.num_empty - occ.num_letters
+    """blocks + cycles of sigma^-1 tau - num_letters + #empty, where num_letters = 2L."""
+    sigma, tau = occ.check_matching(sigma), occ.check_matching(tau)
+    cycles = sum(len(set(_cycle_labels(a, b))) for a, b in zip(sigma, tau))
+    return len(set(_blocks(occ, sigma, tau))) + cycles + occ.num_empty - occ.num_letters
 
 
 class PairScan(NamedTuple):
@@ -283,58 +272,70 @@ def pair_statistics(
     )
 
 
-def _transposition_neighbours(p: MatchingPair) -> list[MatchingPair]:
-    """All pairs differing from p by one transposition in one coordinate.
+def _moves(occ: OccurrenceTable, p: MatchingPair) -> Iterator[tuple[MatchingPair, int, bool]]:
+    """Each pair one transposition of one sigma_i or tau_i away from p.
 
-    Every such pair is comparable with p (one covers the other), since
-    the middle norm changes by exactly 1.
+    Yields (neighbour, chi(neighbour) - chi(p), whether the neighbour is
+    one rank lower), by side, then generator, then j < k.  Swapping the
+    targets of the edges at sources j and k is a 2-opt move in the
+    2-regular graph of edges and junctions: it joins two blocks, or
+    splits one, since a walk round a block passes both edges the same
+    way (every edge and junction joins a letter end to a letter start,
+    and both sources are starts for sigma, ends for tau).  It splits the
+    cycle of sigma_i^-1 tau_i through j and k if there is one, lowering
+    the rank by one, and otherwise joins theirs.
     """
-    out = []
-    for side in (0, 1):
+    block = _blocks(occ, *p)
+    cycles = [_cycle_labels(a, b) for a, b in zip(*p)]
+    for side, sources in ((0, occ.sigma_src), (1, occ.tau_src)):
         m = p[side]
         for i, part in enumerate(m):
             for j, k in itertools.combinations(range(len(part)), 2):
                 moved = list(part)
                 moved[j], moved[k] = moved[k], moved[j]
                 new = m[:i] + (tuple(moved),) + m[i + 1:]
-                out.append((new, p[1]) if side == 0 else (p[0], new))
-    return out
+                split = block[sources[i][j]] == block[sources[i][k]]
+                down = cycles[i][j] == cycles[i][k]
+                delta = (1 if split else -1) + (1 if down else -1)
+                yield ((new, p[1]) if side == 0 else (p[0], new)), delta, down
 
 
 def _level_set(
-    occ: OccurrenceTable, starts, chi: int, cap: int
-) -> set[MatchingPair] | None:
-    """The pairs of Euler characteristic chi reached from starts by transpositions.
+    occ: OccurrenceTable, start: MatchingPair, chi: int, cap: int
+) -> dict[MatchingPair, list[MatchingPair]] | None:
+    """The pairs of Euler characteristic chi reached from start by transpositions.
 
-    A breadth-first search through single-transposition moves that stays
-    at chi; None as soon as some neighbour has a higher characteristic.
-    Raises PairCapExceeded once the set grows past ``cap``.
+    A breadth-first search through ``_moves`` that stays at chi; None as
+    soon as some neighbour has a higher characteristic.  Each pair found
+    maps to the pairs it covers: those found one move and one rank below
+    it.  Raises PairCapExceeded once the set grows past ``cap``.
     """
-    seen = set(starts)
-    queue = deque(seen)
-    sigma_paths: dict = {}
+    covers: dict[MatchingPair, list[MatchingPair]] = {start: []}
+    queue = deque([start])
     while queue:
-        for nxt in _transposition_neighbours(queue.popleft()):
-            if nxt in seen:
-                continue
-            value = _euler(occ, *nxt, sigma_paths)
-            if value > chi:
+        p = queue.popleft()
+        for nxt, delta, down in _moves(occ, p):
+            if delta > 0:
                 return None
-            if value == chi:
-                seen.add(nxt)
-                if len(seen) > cap:
+            if delta < 0:
+                continue
+            if nxt not in covers:
+                covers[nxt] = []
+                if len(covers) > cap:
                     raise PairCapExceeded(
-                        len(seen), cap,
+                        len(covers), cap,
                         "the incompressibility search visited {needed} "
                         "pairs, past the cap {cap}",
                     )
                 queue.append(nxt)
-    return seen
+            if down:
+                covers[p].append(nxt)
+    return covers
 
 
 def _maximal_components(
     occ: OccurrenceTable,
-) -> tuple[int, list[list[MatchingPair]]]:
+) -> tuple[int, list[dict[MatchingPair, list[MatchingPair]]]]:
     """ch and the pairs at ch, split into components of transposition moves.
 
     chi never rises along the pair order and (sigma, sigma) precedes
@@ -344,8 +345,9 @@ def _maximal_components(
     stay at ch therefore reach every maximal pair from the maximal
     diagonal ones: one search from each diagonal seed not yet reached
     finds one whole component.  The seeds are every sigma at ch that
-    ``_diagonal_search`` keeps with ``every``.  Each component is
-    sorted, and so is their list.
+    ``_diagonal_search`` keeps with ``every``.  Each component is the
+    ``_level_set`` mapping of its members to their covers, and the
+    components are sorted by their sorted members.
     """
     ch, found = _diagonal_search(occ, every=True)
     seeds = [(m, m) for m in map(occ.expand, found)]
@@ -353,10 +355,10 @@ def _maximal_components(
     components = []
     for seed in seeds:
         if seed not in reached:
-            members = _level_set(occ, [seed], ch, occ.pair_count())
-            reached |= members
-            components.append(sorted(members))
-    return ch, sorted(components)
+            covers = _level_set(occ, seed, ch, occ.pair_count())
+            reached.update(covers)
+            components.append(covers)
+    return ch, sorted(components, key=sorted)
 
 
 def diagonal_max_euler(

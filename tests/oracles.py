@@ -2,15 +2,16 @@
 
 Each function here is a reference implementation that the tests check a
 production route against: a per-pair scan, a sigma-by-sigma class-count
-scan, a per-matching diagonal scan, a group-ring Weingarten inversion,
-the general Haar moment integral, the pair order by distances, the
-leading term via solution classes, permutations under the absolute
-order with its Mobius function, the reduction of a rational function
-over Q by Fraction long division (``reduce_over_q``), and small helpers,
-among them the sum ``rf_add`` and product ``rf_mul`` of rational
-functions and the ``monomial`` c * n^e that the tests write rational
-functions with.  Polynomials are coefficient sequences, index = degree,
-as in the package.  The package itself calls none of them.
+scan, a per-matching diagonal scan, the transposition neighbours of a
+pair, a group-ring Weingarten inversion, the general Haar moment
+integral, the pair order by distances, the leading term via solution
+classes, permutations under the absolute order with its Mobius function,
+the reduction of a rational function over Q by Fraction long division
+(``reduce_over_q``), and small helpers, among them the sum ``rf_add`` and
+product ``rf_mul`` of rational functions and the ``monomial`` c * n^e
+that the tests write rational functions with.  Polynomials are
+coefficient sequences, index = degree, as in the package.  The package
+itself calls none of them.
 """
 
 from __future__ import annotations
@@ -30,9 +31,8 @@ from wordmeasure.surfaces import (
     MatchingPair,
     OccurrenceTable,
     PairCapExceeded,
-    _cycle_lengths,
+    _cycle_labels,
     _lay,
-    _sigma_paths,
     diagonal_max_euler,
 )
 from wordmeasure.weingarten import WeingartenTable, wg_sum
@@ -227,6 +227,26 @@ def cycle_types(
     return tuple(out)
 
 
+# oracle for surfaces._moves: the neighbours, built with no chi or rank
+def _transposition_neighbours(p: MatchingPair) -> list[MatchingPair]:
+    """All pairs differing from p by one transposition in one coordinate.
+
+    By side, then generator, then j < k.  Every such pair is comparable
+    with p (one covers the other), since the middle norm changes by
+    exactly 1.
+    """
+    out = []
+    for side in (0, 1):
+        m = p[side]
+        for i, part in enumerate(m):
+            for j, k in itertools.combinations(range(len(part)), 2):
+                moved = list(part)
+                moved[j], moved[k] = moved[k], moved[j]
+                new = m[:i] + (tuple(moved),) + m[i + 1:]
+                out.append((new, p[1]) if side == 0 else (p[0], new))
+    return out
+
+
 # oracle for surfaces._diagonal_search: every matching, one at a time
 def _diagonal_scan(t: WordTuple) -> Iterator[tuple[tuple, int]]:
     """Yield (sigma_parts, chi(sigma, sigma)) for every matching sigma of t.
@@ -305,6 +325,15 @@ def _boundary_class(links, sizes) -> tuple:
     return tuple(words)
 
 
+def _sigma_paths(occ: OccurrenceTable, sigma_parts) -> tuple[list[int], int]:
+    """The path ends after the sigma edges alone, and the cycles they close."""
+    other = list(occ.bare)
+    closed = 0
+    for i, sp in zip(occ.active, sigma_parts):
+        closed += _lay(other, occ.sigma_src[i], occ.sigma_tgt[i], sp)
+    return other, closed
+
+
 def _boundary_classes(occ: OccurrenceTable) -> dict[tuple, list]:
     """The boundaries the sigmas leave, merged by relabelling class.
 
@@ -350,7 +379,8 @@ def _boundary_classes(occ: OccurrenceTable) -> dict[tuple, list]:
 
 def _cycle_type(p) -> Partition:
     """Cycle type of the permutation with image vector p."""
-    return tuple(sorted(_cycle_lengths(range(len(p)), p), reverse=True))
+    lengths = Counter(_cycle_labels(range(len(p)), p)).values()
+    return tuple(sorted(lengths, reverse=True))
 
 
 def summed_scan_by_sigma(occ: OccurrenceTable) -> dict[tuple[tuple[Partition, ...], int], int]:

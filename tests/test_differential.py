@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wordmeasure import surfaces
 from wordmeasure.ratfn import RationalFunction
-from wordmeasure.solutions import solution_classes
+from wordmeasure.solutions import pair_rank, solution_classes
 from wordmeasure.surfaces import (
     PairCapExceeded,
     PairScan,
@@ -28,6 +28,7 @@ from wordmeasure.words import Letter, Word, WordTuple, parse_tuple, word_tuple
 from oracles import (
     _diagonal_scan,
     _scan,
+    _transposition_neighbours,
     block_count,
     cycle_types,
     enumerate_matchings,
@@ -157,14 +158,15 @@ def test_class_counts_match_scan_on_random_tuples(t, reduce):
 
 
 @st.composite
-def tuples_of_counts(draw):
-    """Balanced tuples of 1-4 generators with 0-4 occurrences of each sign.
+def tuples_of_counts(draw, max_rank=4):
+    """Balanced tuples of 1 to ``max_rank`` generators with 0-4 occurrences
+    of each sign.
 
     The letters are shuffled and cut into one to three words, some of
     them empty, and are rarely reduced.  At most 1,728 sigmas, so the
     sigma-by-sigma oracle stays fast.
     """
-    rank = draw(st.integers(1, 4))
+    rank = draw(st.integers(1, max_rank))
     counts = draw(
         st.lists(st.integers(0, 4), min_size=rank, max_size=rank).filter(
             lambda cs: math.prod(map(math.factorial, cs)) <= 1728
@@ -185,6 +187,28 @@ def tuples_of_counts(draw):
 def test_summed_scan_matches_the_sigma_by_sigma_scan(t):
     occ = occurrences(t)
     assert surfaces._summed_scan(occ) == summed_scan_by_sigma(occ)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_moves_match_recounted_neighbours(data):
+    # any pair, not only a maximal one: each move's chi delta and rank
+    # flag against the neighbour recounted from scratch
+    t = data.draw(tuples_of_counts(max_rank=3))
+    occ = occurrences(t)
+    p = tuple(
+        tuple(tuple(data.draw(st.permutations(range(c)))) for c in occ.counts)
+        for _ in "st"
+    )
+
+    def chi(q):
+        return block_count(t, *q) + sum(map(len, cycle_types(occ, *q)))
+
+    moves = list(surfaces._moves(occ, p))
+    assert [q for q, _, _ in moves] == _transposition_neighbours(p)
+    for q, delta, down in moves:
+        assert delta == chi(q) - chi(p)
+        assert down == (pair_rank(q) == pair_rank(p) - 1)
 
 
 @pytest.mark.parametrize(

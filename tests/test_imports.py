@@ -1,10 +1,11 @@
 """Syntax-tree scans: every imported name is used, in the package and the
-tests; every private module-level name of the package is read in it; and
+tests; every private module-level name of the package is read in it;
 every exported name is read in it, outside ``__init__``, or has a reason
-not to be."""
+not to be; and every private name the README cites is defined."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
@@ -171,3 +172,23 @@ def test_the_scan_finds_an_export_read_only_by_an_unread_export():
     }
     exports = {"a": ("base", "top", "kept")}
     assert unread_exports(exports, sources) == ["a: base", "a: top"]
+
+
+def undefined_cited_names(text: str, sources: list[str]) -> list[str]:
+    """Private names that ``text`` cites in backticks, such as `_lay`, and
+    that no module-level statement of ``sources`` defines."""
+    defined = {name for source in sources for node in ast.parse(source).body
+               for name in bound_names(node)}
+    return sorted(set(re.findall(r"`(_[A-Za-z]\w*)`", text)) - defined)
+
+
+def test_the_readme_cites_only_defined_private_names():
+    sources = [path.read_text(encoding="utf-8")
+               for path in [*PACKAGE, ROOT / "tests" / "oracles.py"]]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert undefined_cited_names(readme, sources) == []
+
+
+def test_the_scan_finds_an_undefined_cited_name():
+    text = "`_kept` and `_gone` do it; `__slots__` and `_kept()` are not names"
+    assert undefined_cited_names(text, ["def _kept(): pass\n"]) == ["_gone"]

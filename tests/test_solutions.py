@@ -22,7 +22,12 @@ from wordmeasure.surfaces import (
 from wordmeasure.trace import trace_leading
 from wordmeasure.words import Letter, Word, WordTuple, parse_tuple
 
-from oracles import enumerate_matchings, leading_via_classes, pair_leq
+from oracles import (
+    _transposition_neighbours,
+    enumerate_matchings,
+    leading_via_classes,
+    pair_leq,
+)
 
 
 @pytest.fixture(scope="module")
@@ -234,10 +239,11 @@ class TestCrossIdentities:
 class TestCoverRoute:
     def test_below_sets_match_pairwise_oracle(self, poset_tuples):
         for text, t in poset_tuples.items():
-            for cls in solution_classes(t):
-                poset = build_poset(list(reversed(cls.members)))
+            _, components = surfaces._maximal_components(occurrences(t))
+            for covers in components:
+                poset = build_poset(dict(reversed(covers.items())))
                 elements = poset.elements
-                assert elements == cls.members, text
+                assert elements == tuple(sorted(covers)), text
                 expected = tuple(
                     frozenset(
                         i for i, a in enumerate(elements)
@@ -247,6 +253,16 @@ class TestCoverRoute:
                 )
                 assert poset.below == expected, text
                 assert poset.ranks == tuple(map(pair_rank, elements)), text
+
+    def test_covers_are_the_member_neighbours_one_rank_lower(self, poset_tuples):
+        for text, t in poset_tuples.items():
+            _, components = surfaces._maximal_components(occurrences(t))
+            for covers in components:
+                for p, below in covers.items():
+                    assert below == [
+                        q for q in _transposition_neighbours(p)
+                        if q in covers and pair_rank(q) == pair_rank(p) - 1
+                    ], text
 
     def test_classes_without_the_class_count_scan(self, golden_tuples, monkeypatch):
         expected = {
@@ -319,7 +335,7 @@ class TestComplexMachinery:
         assert cls.complex.euler_by_chain_counts() == 30 - 102 + 72
 
     def test_single_vertex(self):
-        poset = build_poset([((()), (()))])
+        poset = build_poset({((), ()): []})
         complex_ = order_complex(poset)
         assert complex_euler(complex_) == 1
         assert mobius_sum(poset) == 1

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from wordmeasure.solutions import is_incompressible
 from wordmeasure.surfaces import (
     PairCapExceeded,
     UnbalancedError,
-    _cycle_lengths,
+    _cycle_labels,
     _lay,
     _level_set,
     diagonal_max_euler,
@@ -24,6 +25,7 @@ from wordmeasure.words import parse, parse_tuple
 from oracles import (
     Permutation,
     _boundary_classes,
+    _sigma_paths,
     block_count,
     commutator_length,
     cycle_types,
@@ -306,11 +308,15 @@ def _components(n, edges):
 
 
 class TestPrimitives:
-    def test_cycle_lengths_match_permutation_cycle_type(self):
+    def test_cycle_labels_are_the_least_indices_of_the_cycles(self):
         for L in range(5):
             for a, b in itertools.product(itertools.permutations(range(L)), repeat=2):
-                expected = (Permutation(a).inverse() * Permutation(b)).cycle_type()
-                assert tuple(sorted(_cycle_lengths(a, b), reverse=True)) == expected
+                p = Permutation(a).inverse() * Permutation(b)
+                label = _cycle_labels(a, b)
+                for cycle in p.cycles():
+                    assert {label[k] for k in cycle} == {min(cycle)}
+                lengths = Counter(label).values()
+                assert tuple(sorted(lengths, reverse=True)) == p.cycle_type()
 
     def test_lay_closes_the_cycles_of_a_component_recount(self):
         # junction x has slots 2x and 2x + 1; lay random edges between
@@ -349,7 +355,7 @@ class TestPrimitives:
         cases.append((occ, low, -5))
         verdicts = set()
         for occ, p, chi in cases:
-            reached = _level_set(occ, [p], chi, occ.pair_count())
+            reached = _level_set(occ, p, chi, occ.pair_count())
             verdict = is_incompressible(occ, *p)
             assert (reached is None) == (not verdict)
             verdicts.add(verdict)
@@ -548,7 +554,7 @@ class TestBoundaryClasses:
             for parts in itertools.product(
                 *(itertools.permutations(range(occ.counts[i])) for i in occ.active)
             ):
-                other, _ = surfaces._sigma_paths(occ, parts)
+                other, _ = _sigma_paths(occ, parts)
                 assert {other[s] for s in sources} == targets, text
 
     def test_a_generator_laid_leaves_a_boundary_on_the_rest(self, golden_tuples, monkeypatch):
